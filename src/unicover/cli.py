@@ -28,8 +28,8 @@ from .graphs import read_graph, to_dot, write_graph
 from .oracle import cross_validate
 from .realize import realize_neighborhood
 from .sequences import check_neighborhood
-from .trees import RootedTree, iter_collection, serialize
-from .trees import depth as tree_depth
+# `serialize` is not called here; it stays importable for perfbench/tracer.py.
+from .trees import Forest, RootedTree, iter_collection, serialize, write_collection  # noqa: F401
 from .unfold import first_mismatch, neighborhood_collection
 
 
@@ -67,7 +67,8 @@ def _load_trees(path: str) -> tuple[list[RootedTree], list[int]]:
 
 def _resolve_depth(trees: Sequence[RootedTree], lines: Sequence[int], override: int | None) -> int:
     """Depth to check at: the override, or the deepest tree (at least 1)."""
-    depths = [tree_depth(t) for t in trees]
+    forest = Forest()
+    depths = [forest.depths[t] for t in forest.intern(trees)]
     if override is None:
         return max(1, max(depths, default=0))
     if override < 1:
@@ -128,8 +129,9 @@ def cmd_neighborhoods(args: argparse.Namespace) -> int:
     graph = read_graph(_read_lines(args.graph))
     if args.depth < 0:
         raise UnicoverError("--depth must be >= 0")
-    collection = neighborhood_collection(graph, args.depth)
-    _Output(args.output).write_text("".join(serialize(t) + "\n" for t in collection))
+    buf = io.StringIO()
+    write_collection(neighborhood_collection(graph, args.depth), buf)
+    _Output(args.output).write_text(buf.getvalue())
     return 0
 
 
@@ -220,6 +222,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, GraphFormatError, DepthError, SizeError, UnicoverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a bug, never a verdict
+        print(f"internal error (please report): {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

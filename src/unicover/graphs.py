@@ -109,9 +109,13 @@ class Digraph:
 
 
 def read_graph(lines: Iterable[str]) -> SimpleGraph:
-    """Parse the edge-list format; raises GraphFormatError with line numbers."""
+    """Parse the edge-list format; raises GraphFormatError with line numbers.
+
+    Each edge line is checked on its own (range, loop, repeat of an earlier
+    line), and the graph is built once at the end.
+    """
     n: int | None = None
-    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -133,19 +137,17 @@ def read_graph(lines: Iterable[str]) -> SimpleGraph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer endpoint in {line!r}") from None
-        try:
-            SimpleGraph(n, [(u, v)])
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: {exc}") from None
-        edges.append((u, v))
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphFormatError(f"line {lineno}: parallel edge ({key[0]}, {key[1]})")
+        seen.add(key)
     if n is None:
         raise GraphFormatError("missing 'n=<count>' header")
-    try:
-        return SimpleGraph(n, edges)
-    except ValueError as exc:
-        # Range and loop errors are caught per line above; only duplicates
-        # across lines reach this point.
-        raise GraphFormatError(str(exc)) from None
+    return SimpleGraph(n, seen)
 
 
 def write_graph(graph: SimpleGraph, out: IO[str]) -> None:

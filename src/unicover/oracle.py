@@ -71,7 +71,12 @@ def exists_realization_bruteforce(
     n = len(trees)
     if n > MAX_GRAPH_VERTICES:
         raise SizeError(f"brute force supports at most {MAX_GRAPH_VERTICES} trees, got {n}")
+    # From depth 1 on, a ball's root degree is its vertex's degree, so graphs
+    # with another degree sequence are skipped before unfolding.
+    root_degrees = tuple(len(t.children) for t in trees) if depth >= 1 else None
     for graph in enumerate_graphs(n):
+        if root_degrees is not None and graph.degree_sequence() != root_degrees:
+            continue
         if verify_realization(graph, trees, depth):
             return graph
     return None

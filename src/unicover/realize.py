@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .edge_types import EdgeType, TypeClass, TypedDegreeTable, build_table
+from .edge_types import EdgeType, TypeClass, TypedDegreeTable, build_table, inverse_pairs
 from .errors import InternalInfeasible, InternalInvariantError, NotGraphical, SimplicityViolation
 from .graphs import Digraph, SimpleGraph
 from .sequences import check_neighborhood
@@ -212,15 +212,10 @@ def realize_neighborhood(trees: Sequence[RootedTree], depth: int) -> SimpleGraph
         raise NotGraphical(verdict)
 
     parts: dict[EdgeType, SimpleGraph | Digraph] = {}
-    occurring = table.occurring_types()
-    for etype in occurring:
+    for etype in table.occurring_types():
         if etype.klass is TypeClass.DIAGONAL:
             parts[etype] = havel_hakimi(table.degrees[etype])
-    reps = sorted(
-        {e if e.klass is TypeClass.A else e.inverse() for e in occurring if e.klass is not TypeClass.DIAGONAL},
-        key=EdgeType.sort_key,
-    )
-    for rep in reps:
+    for rep in inverse_pairs(table):
         pairs = list(zip(table.degree_vector(rep), table.degree_vector(rep.inverse())))
         parts[rep] = kleitman_wang(pairs)
 

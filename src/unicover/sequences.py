@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .edge_types import EdgeType, TypeClass, TypedDegreeTable
+from .edge_types import EdgeType, TypeClass, TypedDegreeTable, inverse_pairs
 
 __all__ = [
     "FailureKind",
@@ -32,7 +32,6 @@ class FailureKind(str, Enum):
     UNBALANCED_PAIR = "UnbalancedPair"
     EG_VIOLATION = "EGViolation"
     DIRECTED_EG_VIOLATION = "DirectedEGViolation"
-    DEPTH_EXCEEDED = "DepthExceeded"
 
 
 @dataclass(frozen=True)
@@ -146,9 +145,7 @@ def check_neighborhood(table: TypedDegreeTable) -> Verdict:
     collected exhaustively, never short-circuited.
     """
     failures: list[FailureRecord] = []
-    occurring = table.occurring_types()
-
-    for etype in occurring:
+    for etype in table.occurring_types():
         if etype.klass is not TypeClass.DIAGONAL:
             continue
         # Vertices with no edges of this type cannot change the verdict or
@@ -162,11 +159,7 @@ def check_neighborhood(table: TypedDegreeTable) -> Verdict:
         if k is not None:
             failures.append(FailureRecord(etype, FailureKind.EG_VIOLATION, k))
 
-    reps = sorted(
-        {e if e.klass is TypeClass.A else e.inverse() for e in occurring if e.klass is not TypeClass.DIAGONAL},
-        key=EdgeType.sort_key,
-    )
-    for rep in reps:
+    for rep in inverse_pairs(table):
         out_vec = table.degree_vector(rep)
         in_vec = table.degree_vector(rep.inverse())
         pairs = [p for p in zip(out_vec, in_vec) if p != (0, 0)]

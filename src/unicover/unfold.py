@@ -2,10 +2,11 @@
 
 The universal cover of a graph is the (usually infinite) tree whose vertices
 are the non-backtracking walks out of a base vertex; it is never built
-explicitly.  A ball of radius r around a vertex is materialized directly by
-expanding walks one step at a time and refusing to reverse the edge just
-used, which on a simple graph is the same as refusing to return to the
-previous vertex.
+explicitly.  A ball of radius r around a vertex is built from the walks
+that never reverse the edge just used, which on a simple graph is the same
+as never returning to the previous vertex.  Balls are interned into a
+:class:`~unicover.trees.Forest` level by level, bottom-up, so nothing
+recurses and no code string is parsed back.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import SimpleGraph
-from .trees import CanonCode, RootedTree, canonical_code, code_sort_key, parse_tree
+from .trees import Forest, RootedTree
 
 __all__ = [
     "CoverBall",
@@ -34,32 +35,27 @@ class CoverBall:
     base_vertex: int
 
 
-def _ball_code(
-    graph: SimpleGraph,
-    start: int,
-    radius: int,
-    memo: dict[tuple[int, int, int], CanonCode],
-) -> CanonCode:
-    """Canonical code of the radius-`radius` ball around `start`.
+def _ball_ids(forest: Forest, graph: SimpleGraph, radius: int) -> list[int]:
+    """Forest id of every vertex's radius-`radius` ball, in vertex order.
 
-    The expansion of a walk depends only on (current vertex, previous
-    vertex, remaining depth), so `memo` may be shared across calls on the
-    same graph.
+    The walks below a step v -> w depend only on (w, v, levels left), so the
+    balls are built bottom-up over directed edges, one level at a time, in
+    O(radius * sum of squared degrees) node lookups whatever the ball sizes.
     """
     adj = graph.adj
-
-    def walk(v: int, prev: int, k: int) -> CanonCode:
-        if k == 0:
-            return "()"
-        key = (v, prev, k)
-        code = memo.get(key)
-        if code is None:
-            parts = sorted((walk(w, v, k - 1) for w in adj[v] if w != prev), key=code_sort_key)
-            code = "(" + "".join(parts) + ")"
-            memo[key] = code
-        return code
-
-    return walk(start, -1, radius)
+    if radius == 0:
+        return [forest.leaf] * graph.n
+    # Number the directed edges v -> w; succ[e] lists the steps that may
+    # follow e without reversing it, out[v] the steps leaving v.
+    arcs = [(v, w) for v in range(graph.n) for w in adj[v]]
+    index = {arc: e for e, arc in enumerate(arcs)}
+    succ = [[index[(w, x)] for x in adj[w] if x != v] for v, w in arcs]
+    out = [[index[(v, w)] for w in adj[v]] for v in range(graph.n)]
+    # below[e]: id of the walks after step e, one more level each pass.
+    below = [forest.leaf] * len(succ)
+    for _ in range(radius - 1):
+        below = [forest.node([below[f] for f in nxt]) for nxt in succ]
+    return [forest.node([below[e] for e in steps]) for steps in out]
 
 
 def cover_ball(graph: SimpleGraph, vertex: int, radius: int) -> RootedTree:
@@ -71,17 +67,19 @@ def cover_ball(graph: SimpleGraph, vertex: int, radius: int) -> RootedTree:
     """
     if not 0 <= vertex < graph.n:
         raise IndexError(f"vertex {vertex} out of range for n={graph.n}")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    return parse_tree(_ball_code(graph, vertex, radius, {}))
+    return neighborhood_collection(graph, radius)[vertex]
 
 
 def neighborhood_collection(graph: SimpleGraph, radius: int) -> list[RootedTree]:
-    """Cover ball of every vertex, in vertex order, each canonical."""
+    """Cover ball of every vertex, in vertex order, each canonical.
+
+    All balls live in one :class:`Forest`, so isomorphic subtrees are one
+    shared object.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    memo: dict[tuple[int, int, int], CanonCode] = {}
-    return [parse_tree(_ball_code(graph, v, radius, memo)) for v in range(graph.n)]
+    forest = Forest()
+    return [forest.tree(t) for t in _ball_ids(forest, graph, radius)]
 
 
 def cover_balls(graph: SimpleGraph, radius: int) -> list[CoverBall]:
@@ -95,11 +93,11 @@ def first_mismatch(graph: SimpleGraph, trees: Sequence[RootedTree], radius: int)
         raise ValueError(f"{len(trees)} trees for a graph on {graph.n} vertices")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    memo: dict[tuple[int, int, int], CanonCode] = {}
-    for v, tree in enumerate(trees):
-        if _ball_code(graph, v, radius, memo) != canonical_code(tree):
-            return v
-    return None
+    forest = Forest()
+    balls = _ball_ids(forest, graph, radius)
+    # Trees are interned lazily, so the scan stops at the first mismatch.
+    pairs = enumerate(zip(balls, forest.intern(trees)))
+    return next((v for v, (got, want) in pairs if got != want), None)
 
 
 def verify_realization(graph: SimpleGraph, trees: Sequence[RootedTree], radius: int) -> bool:

@@ -4,6 +4,7 @@ import io
 import json
 import random
 
+from unicover import cli
 from unicover.cli import main
 from treegen import cycle_graph, random_graph
 
@@ -168,3 +169,47 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     first = run(capsys, "check", trees, "--explain")
     second = run(capsys, "check", trees, "--explain")
     assert first == second
+
+
+def _chain(length: int) -> str:
+    return "(" * length + ")" * length
+
+
+def test_neighborhoods_of_a_long_path_at_great_depth(tmp_path, capsys):
+    n, depth = 600, 590
+    graph = write(tmp_path / "g.txt", f"n={n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    code, out, err = run(capsys, "neighborhoods", graph, "--depth", str(depth))
+    assert (code, err) == (0, "")
+    want = []
+    for v in range(n):
+        arms = sorted((min(v, depth), min(n - 1 - v, depth)))
+        want.append("(" + "".join(_chain(a) for a in arms if a) + ")")
+    assert out.splitlines() == want
+
+
+def test_check_on_a_very_deep_pair_is_a_verdict(tmp_path, capsys):
+    # A root over a leaf and a path `levels` deep, twice: at 400 levels this
+    # rejects with two unbalanced pairs, and 700 levels must give the same
+    # verdict, not a crash.
+    for levels in (400, 700):
+        path = _chain(levels + 1)
+        trees = write(tmp_path / "t.txt", ("(()" + path + ")\n") * 2)
+        code, out, err = run(capsys, "check", trees)
+        doc = json.loads(out)
+        assert code == 1 and err == ""
+        assert doc["graphical"] is False
+        assert doc["h"] == levels + 1
+        kinds = [(f["kind"], f["type"]["r"], f["type"]["s"]) for f in doc["failures"]]
+        assert kinds == [("UnbalancedPair", "()", path), ("UnbalancedPair", "(())", path)]
+
+
+def test_unexpected_exception_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    def boom(_args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", boom)
+    trees = write(tmp_path / "t.txt", "(())\n(())\n")
+    code, out, err = run(capsys, "check", trees)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["internal error (please report): RuntimeError: boom"]

@@ -16,6 +16,7 @@ from unicover import (
     neighborhood_collection,
     parse_tree,
 )
+from unicover.edge_types import inverse_pairs
 from treegen import cycle_graph, random_tree, shuffle_tree
 
 
@@ -100,6 +101,16 @@ def test_build_table_mixed_pair():
     assert table.degrees[diag] == (1, 0)
     assert table.totals[skew] == 1
     assert table.degree_vector(skew.inverse()) == (0, 0)
+
+
+def test_inverse_pairs_name_each_pair_by_its_a_member():
+    skew = EdgeType("()", "(())")
+    only_a = build_table([parse_tree("(())"), parse_tree("((()))")], 2)
+    assert only_a.occurring_types() == [EdgeType("()", "()"), skew]
+    assert inverse_pairs(only_a) == [skew]
+    only_b = build_table([parse_tree("(()(()))")], 2)
+    assert skew.inverse() in only_b.degrees and skew not in only_b.degrees
+    assert inverse_pairs(only_b) == [skew]
 
 
 def test_build_table_rejects_deep_trees_listing_indices():

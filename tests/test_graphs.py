@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from unicover import graphs
 from unicover import Digraph, GraphFormatError, SimpleGraph, read_graph, to_dot, write_graph
 
 
@@ -73,3 +74,23 @@ def test_read_graph_rejects_malformed(text, fragment):
 def test_dot_output_declares_all_vertices():
     dot = to_dot(SimpleGraph(3, [(0, 2)]))
     assert dot.splitlines() == ["graph G {", "  0;", "  1;", "  2;", "  0 -- 2;", "}"]
+
+
+def test_read_graph_builds_one_graph(monkeypatch):
+    built = []
+
+    class CountingGraph(SimpleGraph):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "SimpleGraph", CountingGraph)
+    text = "n=6\n" + "".join(f"{i} {i + 1}\n" for i in range(5)) + "0 5\n"
+    graph = read_graph(text.splitlines())
+    assert len(built) == 1
+    assert graph.edges == ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))
+
+
+def test_read_graph_names_the_repeated_line():
+    with pytest.raises(GraphFormatError, match="line 4: parallel edge \\(0, 1\\)"):
+        read_graph("n=3\n0 1\n1 2\n1 0\n".splitlines())

@@ -21,6 +21,7 @@ from unicover import (
     truncate,
     write_collection,
 )
+from unicover.trees import Forest
 from treegen import random_tree, shuffle_tree
 
 trees_st = st.recursive(
@@ -155,3 +156,21 @@ def test_write_collection_emits_canonical_codes():
     out = io.StringIO()
     write_collection([parse_tree("((())())")], out)
     assert out.getvalue() == "(()(()))\n"
+
+
+def test_collection_is_canonical_and_shares_isomorphic_subtrees():
+    a, b, c = read_collection(["((())())", "(()(()))", "((())(()))"])
+    assert a is b
+    assert a.children == (RootedTree(), RootedTree((RootedTree(),)))
+    assert c.children[0] is c.children[1] is a.children[1]
+
+
+def test_forest_ids_follow_isomorphism():
+    forest = Forest()
+    x = forest.parse("((())())")
+    assert forest.parse(" (()(())) ") == x
+    assert forest.node([forest.parse("(())"), forest.leaf]) == x
+    assert forest.parse("(()()())") != x
+    assert (forest.codes[x], forest.depths[x], forest.tree(x)) == ("(()(()))", 2, parse_tree("(()(()))"))
+    assert forest.codes[forest.truncate(x, 1)] == "(()())"
+    assert forest.truncate(x, 2) == x
