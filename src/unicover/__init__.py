@@ -7,7 +7,7 @@ such a G when one exists, and verifies the construction by unfolding G's
 non-backtracking walks directly.
 """
 
-from .edge_types import EdgeType, TypeClass, TypedDegreeTable, build_table, edge_type
+from .edge_types import EdgeType, TypeClass, TypedDegreeTable, build_table
 from .errors import (
     DepthError,
     GraphFormatError,
@@ -39,33 +39,18 @@ from .sequences import (
     fulkerson_chen_anstee,
 )
 from .trees import (
-    CanonCode,
     RootedTree,
     canonical_code,
-    canonicalize,
-    code_sort_key,
-    count_nodes,
-    depth,
     parse_tree,
     read_collection,
-    serialize,
     truncate,
     write_collection,
 )
-from .unfold import (
-    CoverBall,
-    cover_ball,
-    cover_balls,
-    first_mismatch,
-    neighborhood_collection,
-    verify_realization,
-)
+from .unfold import cover_ball, first_mismatch, neighborhood_collection, verify_realization
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonCode",
-    "CoverBall",
     "DepthError",
     "Digraph",
     "Disagreement",
@@ -90,15 +75,9 @@ __all__ = [
     "Verdict",
     "build_table",
     "canonical_code",
-    "canonicalize",
     "check_neighborhood",
-    "code_sort_key",
-    "count_nodes",
     "cover_ball",
-    "cover_balls",
     "cross_validate",
-    "depth",
-    "edge_type",
     "enumerate_digraphs",
     "enumerate_graphs",
     "erdos_gallai",
@@ -114,7 +93,6 @@ __all__ = [
     "read_collection",
     "read_graph",
     "realize_neighborhood",
-    "serialize",
     "to_dot",
     "truncate",
     "verify_realization",

@@ -25,7 +25,6 @@ __all__ = [
     "TypeClass",
     "EdgeType",
     "TypedDegreeTable",
-    "edge_type",
     "build_table",
     "inverse_pairs",
 ]
@@ -82,25 +81,6 @@ def _edge_pairs(forest: Forest, child_ids: Sequence[int], depth: int) -> list[tu
         if c not in near:
             near[c] = forest.node(cuts[:j] + cuts[j + 1 :])
     return [(near[c], c) for c in child_ids]
-
-
-def edge_type(tree: RootedTree, child_index: int, depth: int) -> EdgeType:
-    """Type of the root edge leading into ``tree.children[child_index]``.
-
-    The far side is the child's subtree untouched; the near side is the rest
-    of the tree truncated to `depth` - 1.  Only the near side is truncated:
-    the far side already lives one level below the root.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    forest = Forest()
-    root, *child_ids = forest.intern([tree, *tree.children])
-    if forest.depths[root] > depth:
-        raise DepthError(f"tree has depth {forest.depths[root]} > {depth}")
-    if not 0 <= child_index < len(child_ids):
-        raise IndexError(f"child index {child_index} out of range for root degree {len(child_ids)}")
-    near, far = _edge_pairs(forest, child_ids, depth)[child_index]
-    return EdgeType(near=forest.codes[near], far=forest.codes[far])
 
 
 @dataclass(frozen=True, eq=False)

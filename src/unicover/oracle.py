@@ -20,8 +20,7 @@ from .errors import SizeError, UnicoverError
 from .graphs import Digraph, SimpleGraph
 from .realize import realize_neighborhood
 from .sequences import check_neighborhood
-from .trees import RootedTree, canonical_code, canonicalize
-from .trees import depth as tree_depth
+from .trees import Forest, RootedTree, canonical_code
 from .unfold import neighborhood_collection, verify_realization
 
 __all__ = [
@@ -89,33 +88,29 @@ def exists_realization_bruteforce(
 
 
 def _drop_deepest_leaf(tree: RootedTree, rng: random.Random) -> RootedTree:
-    """Remove one uniformly chosen node at maximal depth, recanonicalized."""
-    target = tree_depth(tree)
-    total = 0
-    stack = [(tree, 0)]
+    """Remove one uniformly chosen node at maximal depth, in canonical order.
+
+    The deepest nodes are numbered left to right in stored child order, so a
+    given rng draw always drops the same node.
+    """
+    # Pre-order walk: (depth, index of the parent) of every node.
+    order: list[tuple[int, int]] = []
+    stack = [(tree, 0, -1)]
     while stack:
-        node, d = stack.pop()
-        if d == target:
-            total += 1
-        stack.extend((c, d + 1) for c in node.children)
-    chosen = rng.randrange(total)
-    seen = 0
-
-    def rebuild(node: RootedTree, d: int) -> RootedTree | None:
-        nonlocal seen
-        if d == target:
-            seen += 1
-            return None if seen - 1 == chosen else node
-        kept = []
-        for child in node.children:
-            result = rebuild(child, d + 1)
-            if result is not None:
-                kept.append(result)
-        return RootedTree(tuple(kept))
-
-    rebuilt = rebuild(tree, 0)
-    assert rebuilt is not None  # target >= 1 whenever this runs, so the root survives
-    return canonicalize(rebuilt)
+        node, d, parent = stack.pop()
+        stack.extend((c, d + 1, len(order)) for c in reversed(node.children))
+        order.append((d, parent))
+    target = max(d for d, _ in order)
+    deepest = [i for i, (d, _) in enumerate(order) if d == target]
+    dropped = deepest[rng.randrange(len(deepest))]
+    # Every child comes after its parent in pre-order, so interning in
+    # reverse sees all of a node's kept children before the node itself.
+    forest = Forest()
+    kids: list[list[int]] = [[] for _ in order]
+    for i in range(len(order) - 1, 0, -1):
+        if i != dropped:
+            kids[order[i][1]].append(forest.node(kids[i]))
+    return forest.tree(forest.node(kids[0]))
 
 
 def mutate_collection(trees: Sequence[RootedTree], rng: random.Random) -> list[RootedTree]:

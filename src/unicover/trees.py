@@ -26,8 +26,6 @@ __all__ = [
     "code_sort_key",
     "parse_tree",
     "canonical_code",
-    "canonicalize",
-    "serialize",
     "depth",
     "truncate",
     "count_nodes",
@@ -218,17 +216,6 @@ def canonical_code(tree: RootedTree) -> CanonCode:
     return forest.codes[tid]
 
 
-def canonicalize(tree: RootedTree) -> RootedTree:
-    """Isomorphic copy whose children are stored in canonical order."""
-    forest, tid = _interned(tree)
-    return forest.tree(tid)
-
-
-def serialize(tree: RootedTree) -> str:
-    """Serialize to text.  Always emits the canonical code."""
-    return canonical_code(tree)
-
-
 def depth(tree: RootedTree) -> int:
     """Depth of the tree: 0 for a lone root."""
     forest, tid = _interned(tree)
@@ -237,8 +224,6 @@ def depth(tree: RootedTree) -> int:
 
 def truncate(tree: RootedTree, k: int) -> RootedTree:
     """Subtree of all nodes at depth <= k, in canonical child order."""
-    if k < 0:
-        raise ValueError("truncation depth must be >= 0")
     forest, tid = _interned(tree)
     return forest.tree(forest.truncate(tid, k))
 

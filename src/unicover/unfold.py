@@ -11,28 +11,17 @@ recurses and no code string is parsed back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import SimpleGraph
 from .trees import Forest, RootedTree
 
 __all__ = [
-    "CoverBall",
     "cover_ball",
-    "cover_balls",
     "neighborhood_collection",
     "verify_realization",
     "first_mismatch",
 ]
-
-
-@dataclass(frozen=True)
-class CoverBall:
-    """A cover ball together with the vertex it was unrolled from."""
-
-    tree: RootedTree
-    base_vertex: int
 
 
 def _ball_ids(forest: Forest, graph: SimpleGraph, radius: int) -> list[int]:
@@ -80,11 +69,6 @@ def neighborhood_collection(graph: SimpleGraph, radius: int) -> list[RootedTree]
         raise ValueError("radius must be >= 0")
     forest = Forest()
     return [forest.tree(t) for t in _ball_ids(forest, graph, radius)]
-
-
-def cover_balls(graph: SimpleGraph, radius: int) -> list[CoverBall]:
-    """Like :func:`neighborhood_collection`, with the base vertex attached."""
-    return [CoverBall(t, v) for v, t in enumerate(neighborhood_collection(graph, radius))]
 
 
 def first_mismatch(graph: SimpleGraph, trees: Sequence[RootedTree], radius: int) -> int | None:

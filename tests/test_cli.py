@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from unicover import cli
 from unicover.cli import main
@@ -136,7 +140,8 @@ def test_verify_match_and_mismatch(tmp_path, capsys):
 def test_verify_size_mismatch_is_input_error(tmp_path, capsys):
     graph = write(tmp_path / "g.txt", "n=3\n0 1\n")
     trees = write(tmp_path / "t.txt", "(())\n(())\n")
-    assert run(capsys, "verify", graph, trees)[0] == 2
+    code, out, err = run(capsys, "verify", graph, trees)
+    assert (code, out, err) == (2, "", "error: 2 trees for a graph on 3 vertices\n")
 
 
 def test_selftest_small(capsys):
@@ -213,3 +218,47 @@ def test_unexpected_exception_exits_3_without_traceback(tmp_path, capsys, monkey
     assert code == 3
     assert out == ""
     assert err.splitlines() == ["internal error (please report): RuntimeError: boom"]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_process(work, hash_seed, *argv):
+    """Run the CLI as its own process in `work` under a fixed PYTHONHASHSEED."""
+    path = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=os.pathsep.join(path))
+    entry = "import sys; from unicover.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, *argv], cwd=work, env=env, capture_output=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    rng = random.Random(60)
+    graph = random_graph(rng, 60, 0.05)
+    buf = io.StringIO()
+    unicover.write_graph(graph, buf)
+    mutant = unicover.neighborhood_collection(graph, 3)
+    for _ in range(3):
+        mutant = unicover.mutate_collection(mutant, rng)
+    mutant_text = io.StringIO()
+    unicover.write_collection(mutant, mutant_text)
+    results = []
+    for hash_seed in (0, 1):
+        work = tmp_path / f"hash{hash_seed}"
+        work.mkdir()
+        write(work / "g.txt", buf.getvalue())
+        write(work / "mutant.txt", mutant_text.getvalue())
+        runs = [
+            run_process(work, hash_seed, "neighborhoods", "g.txt", "--depth", "3", "-o", "balls.txt"),
+            run_process(work, hash_seed, "check", "balls.txt", "--explain"),
+            run_process(work, hash_seed, "realize", "balls.txt", "--verify", "-o", "out.graph"),
+            run_process(work, hash_seed, "check", "mutant.txt", "--explain"),
+        ]
+        files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+        results.append((runs, files))
+    assert results[0] == results[1]
+    runs, files = results[0]
+    assert [code for code, _, _ in runs] == [0, 0, 0, 1]
+    assert sorted(files) == ["balls.txt", "g.txt", "mutant.txt", "out.graph"]

@@ -10,36 +10,35 @@ from unicover import (
     TypeClass,
     build_table,
     canonical_code,
-    depth,
-    edge_type,
     erdos_gallai,
     neighborhood_collection,
     parse_tree,
 )
 from unicover.edge_types import inverse_pairs
+from unicover.trees import depth
 from treegen import cycle_graph, random_tree, shuffle_tree
 
 
 def test_single_edge_type_is_trivial_diagonal():
     t = parse_tree("(())")
     for h in (1, 2, 5):
-        et = edge_type(t, 0, h)
+        [et] = build_table([t], h).occurring_types()
         assert (et.near, et.far) == ("()", "()")
         assert et.klass is TypeClass.DIAGONAL
 
 
 def test_far_side_keeps_full_depth():
-    et = edge_type(parse_tree("((()))"), 0, 2)
+    [et] = build_table([parse_tree("((()))")], 2).occurring_types()
     assert (et.near, et.far) == ("()", "(())")
 
 
 def test_near_side_is_truncated():
     # two branches of depth 2; removing one leaves the other, cut to depth 1
-    t = parse_tree("((())(()))")
-    for child in (0, 1):
-        et = edge_type(t, child, 2)
-        assert (et.near, et.far) == ("(())", "(())")
-        assert et.klass is TypeClass.DIAGONAL
+    table = build_table([parse_tree("((())(()))")], 2)
+    [et] = table.occurring_types()
+    assert (et.near, et.far) == ("(())", "(())")
+    assert et.klass is TypeClass.DIAGONAL
+    assert table.degrees[et] == (2,)
 
 
 def test_type_agrees_with_cycle_harvest():
@@ -55,12 +54,10 @@ def test_type_agrees_with_cycle_harvest():
 
 def test_edge_type_bounds_and_errors():
     t = parse_tree("((()))")
-    with pytest.raises(IndexError):
-        edge_type(t, 1, 2)
     with pytest.raises(DepthError):
-        edge_type(t, 0, 1)
+        build_table([t], 1)
     with pytest.raises(ValueError):
-        edge_type(t, 0, 0)
+        build_table([t], 0)
 
 
 def test_type_sides_stay_one_level_shallow():
@@ -68,11 +65,11 @@ def test_type_sides_stay_one_level_shallow():
     for _ in range(100):
         t = random_tree(rng, max_nodes=20)
         h = depth(t) + rng.randrange(3)
-        if h < 1 or not t.children:
+        if h < 1:
             continue
-        et = edge_type(t, rng.randrange(len(t.children)), h)
-        assert depth(parse_tree(et.near)) <= h - 1
-        assert depth(parse_tree(et.far)) <= h - 1
+        for et in build_table([t], h).occurring_types():
+            assert depth(parse_tree(et.near)) <= h - 1
+            assert depth(parse_tree(et.far)) <= h - 1
 
 
 def test_inverse_is_involution_and_flips_class():
@@ -141,14 +138,8 @@ def test_types_invariant_under_isomorphic_reencoding():
     for _ in range(50):
         t = random_tree(rng, max_nodes=15)
         h = max(1, depth(t))
-        original = sorted(
-            (edge_type(t, j, h).near, edge_type(t, j, h).far) for j in range(len(t.children))
-        )
         s = shuffle_tree(t, rng)
-        shuffled = sorted(
-            (edge_type(s, j, h).near, edge_type(s, j, h).far) for j in range(len(s.children))
-        )
-        assert original == shuffled
+        assert build_table([s], h).degrees == build_table([t], h).degrees
 
 
 def test_depth_one_collapses_to_plain_degrees():

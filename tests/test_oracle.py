@@ -5,17 +5,19 @@ import random
 import pytest
 
 from unicover import (
+    SimpleGraph,
     SizeError,
     canonical_code,
-    count_nodes,
     cross_validate,
-    depth,
     enumerate_digraphs,
     enumerate_graphs,
     exists_realization_bruteforce,
     mutate_collection,
+    neighborhood_collection,
     parse_tree,
 )
+from unicover.oracle import _drop_deepest_leaf
+from unicover.trees import count_nodes, depth
 from treegen import random_tree
 
 
@@ -98,6 +100,15 @@ def test_drop_leaf_removes_exactly_one_node():
             seen_drop += 1
             assert count_nodes(mutant) == count_nodes(tree) - 1
     assert seen_drop > 0
+
+
+def test_drop_leaf_on_a_deep_ball_does_not_recurse():
+    # a root over two 1200-node paths: one path loses its end, the other stays
+    triangle = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+    ball = neighborhood_collection(triangle, 1200)[0]
+    mutant = _drop_deepest_leaf(ball, random.Random(0))
+    assert count_nodes(mutant) == count_nodes(ball) - 1 == 2400
+    assert canonical_code(mutant) == "(" + "(" * 1199 + ")" * 1199 + "(" * 1200 + ")" * 1200 + ")"
 
 
 def test_cross_validate_small_sizes_are_clean():

@@ -11,17 +11,12 @@ from unicover import (
     ParseError,
     RootedTree,
     canonical_code,
-    canonicalize,
-    code_sort_key,
-    count_nodes,
-    depth,
     parse_tree,
     read_collection,
-    serialize,
     truncate,
     write_collection,
 )
-from unicover.trees import Forest
+from unicover.trees import Forest, code_sort_key, count_nodes, depth
 from treegen import random_tree, shuffle_tree
 
 trees_st = st.recursive(
@@ -94,9 +89,9 @@ def test_truncate_negative_rejected():
         truncate(RootedTree(), -1)
 
 
-def test_serialize_examples():
-    assert serialize(RootedTree()) == "()"
-    assert serialize(parse_tree("(()())")) == "(()())"
+def test_canonical_code_examples():
+    assert canonical_code(parse_tree("(()())")) == "(()())"
+    assert canonical_code(RootedTree((parse_tree("(())"), RootedTree()))) == "(()(()))"
 
 
 def test_deep_tree_does_not_overflow():
@@ -109,7 +104,7 @@ def test_deep_tree_does_not_overflow():
 
 @given(trees_st)
 def test_roundtrip_is_identity_up_to_isomorphism(t):
-    assert canonical_code(parse_tree(serialize(t))) == canonical_code(t)
+    assert canonical_code(parse_tree(canonical_code(t))) == canonical_code(t)
 
 
 @given(trees_st, st.integers(min_value=0, max_value=10**6))
@@ -130,15 +125,20 @@ def test_truncate_node_count_law(t, k):
     assert (count_nodes(cut) == count_nodes(t)) == (depth(t) <= k)
 
 
-def test_canonicalize_is_canonical_fixed_point():
+def _stored_code(tree: RootedTree) -> str:
+    """The tree's word with children in stored order, canonical or not."""
+    return "(" + "".join(map(_stored_code, tree.children)) + ")"
+
+
+def test_parse_tree_is_canonical_fixed_point():
     rng = random.Random(7)
     for _ in range(50):
-        t = random_tree(rng)
-        c = canonicalize(t)
+        t = shuffle_tree(random_tree(rng), rng)
+        c = parse_tree(_stored_code(t))
         assert canonical_code(c) == canonical_code(t)
-        assert serialize(c) == canonical_code(t)
         # children already stored in sorted order
-        assert c == parse_tree(canonical_code(c))
+        assert _stored_code(c) == canonical_code(t)
+        assert c == parse_tree(canonical_code(c)) == read_collection([_stored_code(t)])[0]
 
 
 def test_read_collection_skips_blanks_and_comments():

@@ -9,7 +9,6 @@ from unicover import (
     SimpleGraph,
     canonical_code,
     cover_ball,
-    cover_balls,
     first_mismatch,
     neighborhood_collection,
     parse_tree,
@@ -114,8 +113,8 @@ def test_tree_graph_is_its_own_cover():
 def test_root_degree_matches_base_vertex():
     rng = random.Random(41)
     g = random_graph(rng, 8, 0.4)
-    for ball in cover_balls(g, 2):
-        assert len(ball.tree.children) == g.degree(ball.base_vertex)
+    for v, ball in enumerate(neighborhood_collection(g, 2)):
+        assert len(ball.children) == g.degree(v)
 
 
 def test_verify_realization_per_index():
