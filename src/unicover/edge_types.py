@@ -10,6 +10,10 @@ endpoint.
 Both pieces are computed on interned ids of a :class:`~unicover.trees.Forest`
 (far = the child's id, near = the node over the other children's truncated
 ids), and the code strings of a type are looked up once per distinct type.
+
+The table stores each type by its support only, the vertices with a nonzero
+count, so a type costs time and memory in proportion to its support, never
+to the number n of trees.  Dense length-n vectors are built on request.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "TypedDegreeTable",
     "build_table",
     "inverse_pairs",
+    "pair_support",
 ]
 
 
@@ -87,24 +92,34 @@ def _edge_pairs(forest: Forest, child_ids: Sequence[int], depth: int) -> list[tu
 class TypedDegreeTable:
     """Per-vertex, per-type counts of root-incident edges.
 
-    `degrees` maps each occurring type to its length-`n` count vector;
-    `totals` holds the vector sums; `degree_seq` is the plain root-degree
-    sequence (the row sums over types).
+    `supports` maps each occurring type to its support: the `(vertex,
+    count)` pairs with a nonzero count, in vertex order.  `totals` holds the
+    count sums; `degree_seq` is the plain root-degree sequence (the row sums
+    over types).  The dense length-`n` vectors (`degrees`,
+    :meth:`degree_vector`) are built on request only.
     """
 
     n: int
     depth: int
-    degrees: dict[EdgeType, tuple[int, ...]]
+    supports: dict[EdgeType, tuple[tuple[int, int], ...]]
     totals: dict[EdgeType, int]
     degree_seq: tuple[int, ...]
 
     def occurring_types(self) -> list[EdgeType]:
         """All types with at least one edge, in deterministic order."""
-        return sorted(self.degrees, key=EdgeType.sort_key)
+        return sorted(self.supports, key=EdgeType.sort_key)
 
     def degree_vector(self, etype: EdgeType) -> tuple[int, ...]:
-        """Count vector for `etype`; all zeros if the type never occurs."""
-        return self.degrees.get(etype, (0,) * self.n)
+        """Length-`n` count vector for `etype`; all zeros if the type never occurs."""
+        vec = [0] * self.n
+        for v, count in self.supports.get(etype, ()):
+            vec[v] = count
+        return tuple(vec)
+
+    @property
+    def degrees(self) -> dict[EdgeType, tuple[int, ...]]:
+        """Every occurring type's length-`n` count vector, built afresh on each access."""
+        return {etype: self.degree_vector(etype) for etype in self.supports}
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,7 +131,7 @@ class TypedDegreeTable:
                     "s": etype.far,
                     "class": etype.klass.value,
                     "N": self.totals[etype],
-                    "degrees": list(self.degrees[etype]),
+                    "degrees": list(self.degree_vector(etype)),
                 }
                 for etype in self.occurring_types()
             ],
@@ -129,7 +144,9 @@ def build_table(trees: Sequence[RootedTree], depth: int) -> TypedDegreeTable:
     Raises DepthError (listing the offending indices) if any tree is deeper
     than `depth`; requires `depth` >= 1.  The trees are interned into one
     :class:`Forest`, so each distinct subtree is handled once and each
-    distinct type's codes are looked up once.
+    distinct type's codes are looked up once.  Apart from the interning,
+    the cost is O(n + root edges + types log types): each type's support is
+    built from its own edges, never as a length-`n` vector.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -140,28 +157,29 @@ def build_table(trees: Sequence[RootedTree], depth: int) -> TypedDegreeTable:
         raise DepthError(
             f"trees deeper than {depth} at indices {list(too_deep)}", indices=too_deep
         )
-    n = len(roots)
-    pairs_of: dict[int, list[tuple[int, int]]] = {}
-    counts: dict[tuple[int, int], list[int]] = {}
+    counts_of: dict[int, dict[tuple[int, int], int]] = {}
+    support: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, root in enumerate(roots):
-        pairs = pairs_of.get(root)
-        if pairs is None:
-            pairs = pairs_of[root] = _edge_pairs(forest, forest.kids[root], depth)
-        for pair in pairs:
-            vec = counts.get(pair)
-            if vec is None:
-                vec = counts[pair] = [0] * n
-            vec[i] += 1
+        counts = counts_of.get(root)
+        if counts is None:
+            counts = counts_of[root] = {}
+            for pair in _edge_pairs(forest, forest.kids[root], depth):
+                counts[pair] = counts.get(pair, 0) + 1
+        for pair, count in counts.items():
+            entries = support.get(pair)
+            if entries is None:
+                entries = support[pair] = []
+            entries.append((i, count))
     codes = forest.codes
     typed = sorted(
-        ((EdgeType(near=codes[near], far=codes[far]), vec) for (near, far), vec in counts.items()),
+        ((EdgeType(near=codes[near], far=codes[far]), entries) for (near, far), entries in support.items()),
         key=lambda item: item[0].sort_key(),
     )
-    degrees = {etype: tuple(vec) for etype, vec in typed}
-    totals = {etype: sum(vec) for etype, vec in degrees.items()}
+    supports = {etype: tuple(entries) for etype, entries in typed}
+    totals = {etype: sum(c for _, c in entries) for etype, entries in supports.items()}
     degree_seq = tuple(len(forest.kids[t]) for t in roots)
     return TypedDegreeTable(
-        n=n, depth=depth, degrees=degrees, totals=totals, degree_seq=degree_seq
+        n=len(roots), depth=depth, supports=supports, totals=totals, degree_seq=degree_seq
     )
 
 
@@ -169,7 +187,18 @@ def inverse_pairs(table: TypedDegreeTable) -> list[EdgeType]:
     """The A-class member of each inverse pair with an occurring type, sorted."""
     reps = {
         e if e.klass is TypeClass.A else e.inverse()
-        for e in table.degrees
+        for e in table.supports
         if e.klass is not TypeClass.DIAGONAL
     }
     return sorted(reps, key=EdgeType.sort_key)
+
+
+def pair_support(table: TypedDegreeTable, rep: EdgeType) -> tuple[list[int], list[tuple[int, int]]]:
+    """The vertices where `rep` or its inverse occurs, ascending, and their (out, in) counts.
+
+    Costs O(s log s) for a joint support of s vertices.
+    """
+    out = dict(table.supports.get(rep, ()))
+    inn = dict(table.supports.get(rep.inverse(), ()))
+    vertices = sorted(out.keys() | inn.keys())
+    return vertices, [(out.get(v, 0), inn.get(v, 0)) for v in vertices]

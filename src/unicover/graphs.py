@@ -10,7 +10,11 @@ from typing import IO, Iterable
 
 from .errors import GraphFormatError
 
+# Largest `n=` header that read_graph accepts; the graph allocates per vertex.
+MAX_VERTICES = 10**6
+
 __all__ = [
+    "MAX_VERTICES",
     "SimpleGraph",
     "Digraph",
     "read_graph",
@@ -111,8 +115,9 @@ class Digraph:
 def read_graph(lines: Iterable[str]) -> SimpleGraph:
     """Parse the edge-list format; raises GraphFormatError with line numbers.
 
-    Each edge line is checked on its own (range, loop, repeat of an earlier
-    line), and the graph is built once at the end.
+    The header must give 0 <= n <= MAX_VERTICES.  Each edge line is checked
+    on its own (range, loop, repeat of an earlier line), and the graph is
+    built once at the end.
     """
     n: int | None = None
     seen: set[tuple[int, int]] = set()
@@ -129,6 +134,10 @@ def read_graph(lines: Iterable[str]) -> SimpleGraph:
                 raise GraphFormatError(f"line {lineno}: bad vertex count {line[2:]!r}") from None
             if n < 0:
                 raise GraphFormatError(f"line {lineno}: vertex count must be >= 0")
+            if n > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
+                )
             continue
         parts = line.split()
         if len(parts) != 2:

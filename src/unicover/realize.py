@@ -7,15 +7,25 @@ union is provably simple for tables harvested from any graph, so a collision
 during gluing is treated as an internal bug, never as bad input.
 
 Both realizers are deterministic greedies; identical inputs produce
-identical edge lists byte for byte.
+identical edge lists byte for byte.  Each type is realized on its support
+alone, relabelled in vertex order, and :func:`glue` maps the part back; a
+support of s vertices with m edges costs O((s + m) log s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Mapping, NamedTuple, Sequence
 
-from .edge_types import EdgeType, TypeClass, TypedDegreeTable, build_table, inverse_pairs
+from .edge_types import (
+    EdgeType,
+    TypeClass,
+    TypedDegreeTable,
+    build_table,
+    inverse_pairs,
+    pair_support,
+)
 from .errors import InternalInfeasible, InternalInvariantError, NotGraphical, SimplicityViolation
 from .graphs import Digraph, SimpleGraph
 from .sequences import check_neighborhood
@@ -55,29 +65,32 @@ def havel_hakimi(degrees: Sequence[int]) -> SimpleGraph:
     (lowest index on ties) and connect all its remaining stubs to the
     vertices with the next-largest residuals (again lowest index on ties).
     The input must be graphical; a stuck state raises InternalInfeasible.
+    A heap keyed by (-residual, index) holds the vertices with a positive
+    residual, so s such vertices and m edges cost O((s + m) log s).
     """
     res = [int(d) for d in degrees]
     if any(d < 0 for d in res):
         raise ValueError("degrees must be non-negative")
-    n = len(res)
+    # Every vertex in the heap has exactly one entry, with its current key:
+    # a vertex's key only changes while it is popped.
+    heap = [(-d, i) for i, d in enumerate(res) if d > 0]
+    heapify(heap)
     edges: list[tuple[int, int]] = []
-    while True:
-        v = min(range(n), key=lambda i: (-res[i], i), default=-1)
-        if v < 0 or res[v] == 0:
-            break
-        need = res[v]
+    while heap:
+        key, v = heappop(heap)
+        need = -key
         res[v] = 0
-        targets = sorted(
-            (i for i in range(n) if i != v and res[i] > 0), key=lambda i: (-res[i], i)
-        )
+        targets = [heappop(heap)[1] for _ in range(min(need, len(heap)))]
         if len(targets) < need:
             raise InternalInfeasible(
                 f"cannot place {need} edges at a vertex with only {len(targets)} candidates"
             )
-        for t in targets[:need]:
+        for t in targets:
             res[t] -= 1
             edges.append((v, t) if v < t else (t, v))
-    graph = SimpleGraph(n, edges)
+            if res[t]:
+                heappush(heap, (-res[t], t))
+    graph = SimpleGraph(len(res), edges)
     if graph.degree_sequence() != tuple(int(d) for d in degrees):
         raise InternalInfeasible("constructed graph does not match the requested degrees")
     return graph
@@ -90,34 +103,57 @@ def kleitman_wang(pairs: Sequence[tuple[int, int]]) -> Digraph:
     residual (out, in) pair (lowest index on ties) and send all its remaining
     out-stubs to distinct other vertices, preferring larger residual
     in-degree, then larger residual out-degree, then lower index.  The input
-    must be digraphical; a stuck state raises InternalInfeasible.
+    must be digraphical; a stuck state raises InternalInfeasible.  Two heaps
+    keyed by exactly these orders hold the vertices with a positive residual
+    out-degree (sources) and in-degree (heads); an entry whose key is no
+    longer the vertex's current one is dropped when it surfaces.  s such
+    vertices and m arcs cost O((s + m) log s).
     """
     res_out = [int(a) for a, _ in pairs]
     res_in = [int(b) for _, b in pairs]
     if any(d < 0 for d in res_out + res_in):
         raise ValueError("degree pairs must be non-negative")
-    n = len(res_out)
+    sources = [(-a, -b, i) for i, (a, b) in enumerate(zip(res_out, res_in)) if a > 0]
+    heads = [(-b, -a, i) for i, (a, b) in enumerate(zip(res_out, res_in)) if b > 0]
+    heapify(sources)
+    heapify(heads)
+
+    def pop_head() -> int | None:
+        while heads:
+            b, a, i = heappop(heads)
+            if -b == res_in[i] and -a == res_out[i]:
+                return i
+        return None
+
     arcs: list[tuple[int, int]] = []
-    while True:
-        v = min(range(n), key=lambda i: (-res_out[i], -res_in[i], i), default=-1)
-        if v < 0 or res_out[v] == 0:
-            break
+    while sources:
+        a, b, v = heappop(sources)
+        if -a != res_out[v] or -b != res_in[v]:
+            continue
         need = res_out[v]
         res_out[v] = 0
-        targets = sorted(
-            (i for i in range(n) if i != v and res_in[i] > 0),
-            key=lambda i: (-res_in[i], -res_out[i], i),
-        )
-        if len(targets) < need:
-            raise InternalInfeasible(
-                f"cannot place {need} arcs at a vertex with only {len(targets)} candidates"
-            )
-        for t in targets[:need]:
+        # v's head entry is now stale, so v cannot be its own target; its
+        # fresh entry goes back once the targets are chosen.
+        targets: list[int] = []
+        while len(targets) < need:
+            t = pop_head()
+            if t is None:
+                raise InternalInfeasible(
+                    f"cannot place {need} arcs at a vertex with only {len(targets)} candidates"
+                )
+            targets.append(t)
+        if res_in[v]:
+            heappush(heads, (-res_in[v], 0, v))
+        for t in targets:
             res_in[t] -= 1
             arcs.append((v, t))
+            if res_in[t]:
+                heappush(heads, (-res_in[t], -res_out[t], t))
+            if res_out[t]:
+                heappush(sources, (-res_out[t], -res_in[t], t))
     if any(res_in):
         raise InternalInfeasible("in-stubs left over after all out-stubs were placed")
-    digraph = Digraph(n, arcs)
+    digraph = Digraph(len(res_out), arcs)
     want = tuple((int(a), int(b)) for a, b in pairs)
     if digraph.bidegree_sequence() != want:
         raise InternalInfeasible("constructed digraph does not match the requested degrees")
@@ -125,24 +161,30 @@ def kleitman_wang(pairs: Sequence[tuple[int, int]]) -> Digraph:
 
 
 def glue(
-    parts: Mapping[EdgeType, SimpleGraph | Digraph], n: int | None = None
+    parts: Mapping[EdgeType, tuple[Sequence[int], SimpleGraph | Digraph]], n: int
 ) -> TaggedGraph:
-    """Union per-type edge sets into one simple graph with provenance tags.
+    """Union per-type edge sets into one simple graph on n vertices, with provenance tags.
 
-    Diagonal keys must map to SimpleGraph parts and A-class keys to Digraph
-    parts (arc directions are forgotten in the union).  If two parts
-    contribute the same vertex pair, or one digraph part contains both
-    directions of a pair, SimplicityViolation is raised: that cannot happen
-    for parts realized from a checked table, so it indicates a bug.
+    Each part comes with the ascending list of the vertices it was realized
+    on: part vertex j is vertex `vertices[j]` of the union.  Diagonal keys
+    must map to SimpleGraph parts and A-class keys to Digraph parts (arc
+    directions are forgotten in the union).  If two parts contribute the
+    same vertex pair, or one digraph part contains both directions of a
+    pair, SimplicityViolation is raised: that cannot happen for parts
+    realized from a checked table, so it indicates a bug.
     """
     items = sorted(parts.items(), key=lambda kv: kv[0].sort_key())
-    sizes = {part.n for _, part in items}
-    if len(sizes) > 1:
-        raise ValueError(f"parts disagree on vertex count: {sorted(sizes)}")
-    if n is None:
-        n = sizes.pop() if sizes else 0
-    elif sizes and sizes != {n}:
-        raise ValueError(f"parts are on {sizes.pop()} vertices, expected {n}")
+    for etype, (vertices, part) in items:
+        if part.n != len(vertices):
+            raise ValueError(
+                f"part of type ({etype.near},{etype.far}) has {part.n} vertices "
+                f"but {len(vertices)} labels"
+            )
+        ascending = all(u < v for u, v in zip(vertices, vertices[1:]))
+        if not ascending or (vertices and not (vertices[0] >= 0 and vertices[-1] < n)):
+            raise ValueError(
+                f"labels of type ({etype.near},{etype.far}) must ascend within 0..{n - 1}"
+            )
 
     tags: dict[tuple[int, int], EdgeTag] = {}
 
@@ -155,16 +197,18 @@ def glue(
             )
         tags[key] = tag
 
-    for etype, part in items:
+    for etype, (vertices, part) in items:
         if etype.klass is TypeClass.DIAGONAL:
             if not isinstance(part, SimpleGraph):
                 raise ValueError(f"diagonal type {etype} needs a SimpleGraph part")
+            # Ascending labels keep u < v.
             for u, v in part.edges:
-                add((u, v), EdgeTag(etype, None))
+                add((vertices[u], vertices[v]), EdgeTag(etype, None))
         elif etype.klass is TypeClass.A:
             if not isinstance(part, Digraph):
                 raise ValueError(f"A-class type {etype} needs a Digraph part")
             for u, v in part.arcs:
+                u, v = vertices[u], vertices[v]
                 add((u, v) if u < v else (v, u), EdgeTag(etype, u))
         else:
             raise ValueError("pass B-class parts as their A-class inverse")
@@ -189,10 +233,7 @@ def _check_tags_against_table(tagged: TaggedGraph, table: TypedDegreeTable) -> N
             bump(head, tag.etype.inverse())
 
     want = {
-        (i, etype): d
-        for etype in table.occurring_types()
-        for i, d in enumerate(table.degrees[etype])
-        if d
+        (i, etype): d for etype, support in table.supports.items() for i, d in support
     }
     if counts != want:
         raise InternalInvariantError("glued edge tags do not reproduce the typed degrees")
@@ -211,13 +252,16 @@ def realize_neighborhood(trees: Sequence[RootedTree], depth: int) -> SimpleGraph
     if not verdict.graphical:
         raise NotGraphical(verdict)
 
-    parts: dict[EdgeType, SimpleGraph | Digraph] = {}
+    # Each type is realized on its support alone, relabelled in vertex order,
+    # so the lowest-index tie-breaks pick the same edges as on all n vertices.
+    parts: dict[EdgeType, tuple[list[int], SimpleGraph | Digraph]] = {}
     for etype in table.occurring_types():
         if etype.klass is TypeClass.DIAGONAL:
-            parts[etype] = havel_hakimi(table.degrees[etype])
+            support = table.supports[etype]
+            parts[etype] = ([v for v, _ in support], havel_hakimi([c for _, c in support]))
     for rep in inverse_pairs(table):
-        pairs = list(zip(table.degree_vector(rep), table.degree_vector(rep.inverse())))
-        parts[rep] = kleitman_wang(pairs)
+        vertices, pairs = pair_support(table, rep)
+        parts[rep] = (vertices, kleitman_wang(pairs))
 
     tagged = glue(parts, n=table.n)
     _check_tags_against_table(tagged, table)

@@ -7,15 +7,20 @@ but no loops and no repeated arcs).  On top of them,
 :func:`check_neighborhood` decides a whole typed degree table: every
 diagonal type must have a graphical count vector and every inverse pair of
 non-diagonal types must have a digraphical (out, in) vector pair.
+
+Both tests return the smallest violated index k.  A support of s vertices
+costs O(s) for the subsum test and O(s log s) for the directed one (the
+sort), so a whole table costs about the sum of its supports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Sequence
 
-from .edge_types import EdgeType, TypeClass, TypedDegreeTable, inverse_pairs
+from .edge_types import EdgeType, TypeClass, TypedDegreeTable, inverse_pairs, pair_support
 
 __all__ = [
     "FailureKind",
@@ -59,16 +64,33 @@ class Verdict:
     failures: tuple[FailureRecord, ...] = ()
 
 
-def _first_subsum_violation(desc: Sequence[int]) -> int | None:
+def _first_subsum_violation(degrees: Sequence[int]) -> int | None:
     """Smallest k with sum of the k largest > k(k-1) + capped tail.
 
-    `desc` must already be sorted non-increasing.
+    k is counted over the non-increasing reordering of the positive entries
+    of `degrees`; zeros can never be the first violation, since a violation
+    among them implies one at the last positive entry.  With s positive
+    entries this runs in O(s): a count array sorts them and gives, for each
+    k, how many are >= k, and prefix sums give the tail beyond those.
     """
-    lhs = 0
-    for k in range(1, len(desc) + 1):
-        lhs += desc[k - 1]
-        rhs = k * (k - 1) + sum(min(d, k) for d in desc[k:])
-        if lhs > rhs:
+    pos = [d for d in degrees if d > 0]
+    s = len(pos)
+    if s == 0:
+        return None
+    if max(pos) > s - 1:
+        # The largest entry alone exceeds 0 + (s - 1) * 1.
+        return 1
+    count = [0] * s
+    for d in pos:
+        count[d] += 1
+    desc = [d for d in range(s - 1, 0, -1) for _ in range(count[d])]
+    prefix = [0, *accumulate(desc)]  # prefix[j] = sum of the j largest
+    at_least = [*accumulate(reversed(count))][::-1] + [0]  # at_least[k] = entries >= k
+    for k in range(1, s + 1):
+        # Past position k, the entries >= k run to position p and count k
+        # each; the rest of the tail counts in full.
+        p = max(k, at_least[k])
+        if prefix[k] > k * (k - 1) + k * (p - k) + prefix[s] - prefix[p]:
             return k
     return None
 
@@ -80,37 +102,49 @@ def erdos_gallai(degrees: Sequence[int]) -> tuple[bool, int | None]:
     smallest 1-based index (over the non-increasing reordering) of a violated
     subsum inequality, or k = 0 for an odd sum or an entry exceeding n - 1.
     """
-    seq = sorted(degrees, reverse=True)
-    n = len(seq)
-    if n and seq[-1] < 0:
+    seq = list(degrees)
+    if seq and min(seq) < 0:
         raise ValueError("degrees must be non-negative")
     if sum(seq) % 2 == 1:
         return False, 0
-    if n and seq[0] > n - 1:
+    if seq and max(seq) > len(seq) - 1:
         return False, 0
     k = _first_subsum_violation(seq)
     return k is None, k
 
 
-def _sorted_pairs_desc(pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    # Stable, so equal pairs keep their input order and witnesses are
-    # deterministic.
-    return sorted(pairs, key=lambda p: (-p[0], -p[1]))
-
-
-def _first_directed_violation(ordered: Sequence[tuple[int, int]]) -> int | None:
+def _first_directed_violation(pairs: Sequence[tuple[int, int]]) -> int | None:
     """Smallest k violating the loopless directed subsum inequality.
 
-    `ordered` must be sorted by decreasing (out, in).  In-degrees in the
-    first k positions count at most k - 1 each (no loops), later ones at
-    most k each.
+    k is counted over the decreasing lexicographic (out, in) reordering of
+    `pairs`.  In-degrees in the first k positions count at most k - 1 each
+    (no loops), later ones at most k each.  The right side is rewritten as
+    sum(min(b, k)) over all entries minus the head entries with b >= k; both
+    terms follow k through count arrays over in-degree values, so the scan
+    after the O(s log s) sort is O(s).
     """
+    ordered = sorted(pairs, reverse=True)
+    s = len(ordered)
+    # In-degrees above s compare like s against every k <= s.
+    count = [0] * (s + 1)
+    for _, b in ordered:
+        count[min(b, s)] += 1
+    head = [0] * (s + 1)  # in-degree values among the first k entries
     lhs = 0
-    for k in range(1, len(ordered) + 1):
-        lhs += ordered[k - 1][0]
-        rhs = sum(min(b, k - 1) for _, b in ordered[:k])
-        rhs += sum(min(b, k) for _, b in ordered[k:])
-        if lhs > rhs:
+    at_least = s - count[0]  # entries with b >= k
+    capped_sum = 0  # sum of min(b, k) over all entries
+    head_at_least = 0  # first k entries with b >= k
+    for k in range(1, s + 1):
+        a, b = ordered[k - 1]
+        lhs += a
+        capped_sum += at_least
+        at_least -= count[k]
+        head_at_least -= head[k - 1]
+        b = min(b, s)
+        head[b] += 1
+        if b >= k:
+            head_at_least += 1
+        if lhs > capped_sum - head_at_least:
             return k
     return None
 
@@ -131,7 +165,7 @@ def fulkerson_chen_anstee(pairs: Sequence[tuple[int, int]]) -> tuple[bool, int |
         return False, 0
     if n and max(max(a, b) for a, b in plist) > n - 1:
         return False, 0
-    k = _first_directed_violation(_sorted_pairs_desc(plist))
+    k = _first_directed_violation(plist)
     return k is None, k
 
 
@@ -142,31 +176,28 @@ def check_neighborhood(table: TypedDegreeTable) -> Verdict:
     reported as its own failure kind); each inverse pair of non-diagonal
     types, keyed by its A-class member, must have a digraphical (out, in)
     pair vector (unequal totals likewise get their own kind).  Failures are
-    collected exhaustively, never short-circuited.
+    collected exhaustively, never short-circuited.  Each type is tested on
+    its support only: vertices with no edges of the type cannot change the
+    verdict or the witness.  A diagonal support of s vertices costs O(s),
+    an inverse pair's joint support O(s log s).
     """
     failures: list[FailureRecord] = []
     for etype in table.occurring_types():
         if etype.klass is not TypeClass.DIAGONAL:
             continue
-        # Vertices with no edges of this type cannot change the verdict or
-        # the witness: zeros sort last and contribute nothing to either side
-        # of any inequality that can fail first.
-        support = sorted((d for d in table.degrees[etype] if d > 0), reverse=True)
-        if sum(support) % 2 == 1:
+        if table.totals[etype] % 2 == 1:
             failures.append(FailureRecord(etype, FailureKind.ODD_DIAGONAL_SUM))
             continue
-        k = _first_subsum_violation(support)
+        k = _first_subsum_violation([c for _, c in table.supports[etype]])
         if k is not None:
             failures.append(FailureRecord(etype, FailureKind.EG_VIOLATION, k))
 
     for rep in inverse_pairs(table):
-        out_vec = table.degree_vector(rep)
-        in_vec = table.degree_vector(rep.inverse())
-        pairs = [p for p in zip(out_vec, in_vec) if p != (0, 0)]
+        _, pairs = pair_support(table, rep)
         if sum(a for a, _ in pairs) != sum(b for _, b in pairs):
             failures.append(FailureRecord(rep, FailureKind.UNBALANCED_PAIR))
             continue
-        k = _first_directed_violation(_sorted_pairs_desc(pairs))
+        k = _first_directed_violation(pairs)
         if k is not None:
             failures.append(FailureRecord(rep, FailureKind.DIRECTED_EG_VIOLATION, k))
 

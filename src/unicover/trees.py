@@ -38,15 +38,48 @@ __all__ = [
 CanonCode = str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootedTree:
     """Unlabeled rooted tree; the storage order of `children` carries no meaning.
 
     Equality and hashing are structural (order-sensitive); use canonical
-    codes to compare trees up to isomorphism.
+    codes to compare trees up to isomorphism.  Both walk the trees with an
+    explicit stack, once per distinct pair or object, so depth is bounded
+    only by memory.
     """
 
     children: tuple["RootedTree", ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RootedTree):
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if len(a.children) != len(b.children):
+                return False
+            seen.add((id(a), id(b)))
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        memo: dict[int, int] = {}
+        stack = [self]
+        while stack:
+            top = stack[-1]
+            if id(top) in memo:
+                stack.pop()
+                continue
+            pending = [c for c in top.children if id(c) not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            memo[id(top)] = hash(tuple([memo[id(c)] for c in top.children]))
+        return memo[id(self)]
 
 
 def code_sort_key(code: CanonCode) -> tuple[int, str]:

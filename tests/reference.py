@@ -1,0 +1,79 @@
+"""The quadratic scans and dense realizers that the support-only code replaced.
+
+Kept as references: the linear subsum scans must return the same smallest
+witness k, and the heap-based realizers the same edge lists, as these
+direct transcriptions of the definitions.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from unicover import Digraph, SimpleGraph
+
+
+def first_subsum_violation(desc: Sequence[int]) -> int | None:
+    """Smallest k with sum of the k largest > k(k-1) + capped tail; `desc` non-increasing."""
+    lhs = 0
+    for k in range(1, len(desc) + 1):
+        lhs += desc[k - 1]
+        rhs = k * (k - 1) + sum(min(d, k) for d in desc[k:])
+        if lhs > rhs:
+            return k
+    return None
+
+
+def first_directed_violation(ordered: Sequence[tuple[int, int]]) -> int | None:
+    """Smallest k violating the loopless directed subsum inequality; `ordered` decreasing."""
+    lhs = 0
+    for k in range(1, len(ordered) + 1):
+        lhs += ordered[k - 1][0]
+        rhs = sum(min(b, k - 1) for _, b in ordered[:k])
+        rhs += sum(min(b, k) for _, b in ordered[k:])
+        if lhs > rhs:
+            return k
+    return None
+
+
+def havel_hakimi_dense(degrees: Sequence[int]) -> SimpleGraph:
+    """Havel-Hakimi scanning all vertices with `min` and `sorted` at every step."""
+    res = list(degrees)
+    n = len(res)
+    edges: list[tuple[int, int]] = []
+    while True:
+        v = min(range(n), key=lambda i: (-res[i], i), default=-1)
+        if v < 0 or res[v] == 0:
+            break
+        need = res[v]
+        res[v] = 0
+        targets = sorted(
+            (i for i in range(n) if i != v and res[i] > 0), key=lambda i: (-res[i], i)
+        )
+        assert len(targets) >= need
+        for t in targets[:need]:
+            res[t] -= 1
+            edges.append((v, t) if v < t else (t, v))
+    return SimpleGraph(n, edges)
+
+
+def kleitman_wang_dense(pairs: Sequence[tuple[int, int]]) -> Digraph:
+    """Kleitman-Wang scanning all vertices with `min` and `sorted` at every step."""
+    res_out = [a for a, _ in pairs]
+    res_in = [b for _, b in pairs]
+    n = len(res_out)
+    arcs: list[tuple[int, int]] = []
+    while True:
+        v = min(range(n), key=lambda i: (-res_out[i], -res_in[i], i), default=-1)
+        if v < 0 or res_out[v] == 0:
+            break
+        need = res_out[v]
+        res_out[v] = 0
+        targets = sorted(
+            (i for i in range(n) if i != v and res_in[i] > 0),
+            key=lambda i: (-res_in[i], -res_out[i], i),
+        )
+        assert len(targets) >= need
+        for t in targets[:need]:
+            res_in[t] -= 1
+            arcs.append((v, t))
+    return Digraph(n, arcs)

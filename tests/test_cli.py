@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from unicover import cli
+from unicover import cli, graphs
 from unicover.cli import main
 from treegen import cycle_graph, random_graph
 
@@ -125,6 +125,14 @@ def test_neighborhoods_rejects_malformed_graph(tmp_path, capsys):
     code, _, err = run(capsys, "neighborhoods", graph, "--depth", "1")
     assert code == 2
     assert "loop" in err
+
+
+def test_oversized_graph_header_is_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 3)
+    graph = write(tmp_path / "g.txt", "n=4\n0 1\n")
+    code, out, err = run(capsys, "neighborhoods", graph, "--depth", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: vertex count 4 exceeds the limit of 3\n"
 
 
 def test_verify_match_and_mismatch(tmp_path, capsys):

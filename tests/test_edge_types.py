@@ -14,7 +14,7 @@ from unicover import (
     neighborhood_collection,
     parse_tree,
 )
-from unicover.edge_types import inverse_pairs
+from unicover.edge_types import inverse_pairs, pair_support
 from unicover.trees import depth
 from treegen import cycle_graph, random_tree, shuffle_tree
 
@@ -98,6 +98,8 @@ def test_build_table_mixed_pair():
     assert table.degrees[diag] == (1, 0)
     assert table.totals[skew] == 1
     assert table.degree_vector(skew.inverse()) == (0, 0)
+    assert table.supports == {diag: ((0, 1),), skew: ((1, 1),)}
+    assert pair_support(table, skew) == ([1], [(1, 0)])
 
 
 def test_inverse_pairs_name_each_pair_by_its_a_member():
@@ -108,6 +110,7 @@ def test_inverse_pairs_name_each_pair_by_its_a_member():
     only_b = build_table([parse_tree("(()(()))")], 2)
     assert skew.inverse() in only_b.degrees and skew not in only_b.degrees
     assert inverse_pairs(only_b) == [skew]
+    assert pair_support(only_b, skew) == ([0], [(0, 1)])
 
 
 def test_build_table_rejects_deep_trees_listing_indices():
@@ -131,6 +134,10 @@ def test_row_sums_match_degree_sequence():
         for i in range(table.n):
             row = sum(table.degrees[et][i] for et in table.occurring_types())
             assert row == table.degree_seq[i] == len(trees[i].children)
+        # the stored supports are the dense vectors' nonzero entries, in vertex order
+        for et, vec in table.degrees.items():
+            assert table.supports[et] == tuple((i, d) for i, d in enumerate(vec) if d)
+            assert table.totals[et] == sum(vec)
 
 
 def test_types_invariant_under_isomorphic_reencoding():

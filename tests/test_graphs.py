@@ -94,3 +94,19 @@ def test_read_graph_builds_one_graph(monkeypatch):
 def test_read_graph_names_the_repeated_line():
     with pytest.raises(GraphFormatError, match="line 4: parallel edge \\(0, 1\\)"):
         read_graph("n=3\n0 1\n1 2\n1 0\n".splitlines())
+
+
+def test_read_graph_bounds_the_header_before_building(monkeypatch):
+    built = []
+
+    class CountingGraph(SimpleGraph):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "SimpleGraph", CountingGraph)
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
+    assert read_graph("n=5\n0 4\n".splitlines()).n == 5
+    with pytest.raises(GraphFormatError, match="line 2: vertex count 6 exceeds the limit of 5"):
+        read_graph("# big\nn=6\n0 1\n".splitlines())
+    assert len(built) == 1

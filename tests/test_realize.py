@@ -24,7 +24,10 @@ from unicover import (
     realize_neighborhood,
     verify_realization,
 )
+import unicover.realize
+from reference import havel_hakimi_dense, kleitman_wang_dense
 from treegen import path_graph, random_graph
+from unicover.edge_types import TypeClass, inverse_pairs, pair_support
 
 DIAG = EdgeType("()", "()")
 DIAG2 = EdgeType("(())", "(())")
@@ -67,46 +70,67 @@ def test_kleitman_wang_exact_on_every_digraphical_sequence_up_to_four():
 
 
 def test_glue_single_diagonal_part():
-    tagged = glue({DIAG: SimpleGraph(2, [(0, 1)])})
+    tagged = glue({DIAG: ([0, 1], SimpleGraph(2, [(0, 1)]))}, 2)
     assert tagged.graph == SimpleGraph(2, [(0, 1)])
     assert tagged.tags[(0, 1)].etype == DIAG
     assert tagged.tags[(0, 1)].tail is None
 
 
+def test_glue_maps_parts_back_through_their_labels():
+    tagged = glue({DIAG: ([1, 4], SimpleGraph(2, [(0, 1)]))}, 5)
+    assert tagged.graph == SimpleGraph(5, [(1, 4)])
+    assert set(tagged.tags) == {(1, 4)}
+
+
 def test_glue_empty_parts():
-    assert glue({}).graph == SimpleGraph(0)
+    assert glue({}, 0).graph == SimpleGraph(0)
     assert glue({}, n=5).graph == SimpleGraph(5)
 
 
 def test_glue_records_arc_tails():
-    tagged = glue({SKEW: Digraph(3, [(2, 1), (0, 1)])})
+    tagged = glue({SKEW: ([0, 1, 2], Digraph(3, [(2, 1), (0, 1)]))}, 3)
     assert tagged.graph.edges == ((0, 1), (1, 2))
     assert tagged.tags[(0, 1)].tail == 0
     assert tagged.tags[(1, 2)].tail == 2
+    relabelled = glue({SKEW: ([2, 5, 7], Digraph(3, [(2, 1), (0, 1)]))}, 8)
+    assert relabelled.graph.edges == ((2, 5), (5, 7))
+    assert relabelled.tags[(2, 5)].tail == 2
+    assert relabelled.tags[(5, 7)].tail == 7
 
 
 def test_glue_detects_cross_part_collision():
-    parts = {DIAG: SimpleGraph(2, [(0, 1)]), DIAG2: SimpleGraph(2, [(0, 1)])}
+    parts = {
+        DIAG: ([0, 1], SimpleGraph(2, [(0, 1)])),
+        DIAG2: ([0, 1, 2], SimpleGraph(3, [(0, 1)])),
+    }
     with pytest.raises(SimplicityViolation):
-        glue(parts)
+        glue(parts, 3)
 
 
 def test_glue_detects_opposite_arcs_in_one_part():
     with pytest.raises(SimplicityViolation):
-        glue({SKEW: Digraph(2, [(0, 1), (1, 0)])})
+        glue({SKEW: ([0, 1], Digraph(2, [(0, 1), (1, 0)]))}, 2)
 
 
 def test_glue_validates_part_kinds_and_sizes():
     with pytest.raises(ValueError):
-        glue({DIAG: Digraph(2, [(0, 1)])})
+        glue({DIAG: ([0, 1], Digraph(2, [(0, 1)]))}, 2)
     with pytest.raises(ValueError):
-        glue({SKEW: SimpleGraph(2, [(0, 1)])})
+        glue({SKEW: ([0, 1], SimpleGraph(2, [(0, 1)]))}, 2)
     with pytest.raises(ValueError):
-        glue({SKEW.inverse(): Digraph(2, [(0, 1)])})
+        glue({SKEW.inverse(): ([0, 1], Digraph(2, [(0, 1)]))}, 2)
+    # a part's vertex count must equal its number of labels
     with pytest.raises(ValueError):
-        glue({DIAG: SimpleGraph(2, [(0, 1)]), DIAG2: SimpleGraph(3)})
+        glue({DIAG: ([0, 1], SimpleGraph(2, [(0, 1)])), DIAG2: ([0, 1], SimpleGraph(3))}, 3)
+    # labels must lie below n and ascend
     with pytest.raises(ValueError):
-        glue({DIAG: SimpleGraph(2, [(0, 1)])}, n=4)
+        glue({DIAG: ([0, 4], SimpleGraph(2, [(0, 1)]))}, 4)
+    with pytest.raises(ValueError):
+        glue({DIAG: ([-1, 1], SimpleGraph(2, [(0, 1)]))}, 4)
+    with pytest.raises(ValueError):
+        glue({DIAG: ([2, 1], SimpleGraph(2, [(0, 1)]))}, 4)
+    with pytest.raises(ValueError):
+        glue({DIAG: ([1, 1], SimpleGraph(2, [(0, 1)]))}, 4)
 
 
 def test_realize_single_edge():
@@ -172,3 +196,58 @@ def test_realize_isolated_vertices():
     assert g == SimpleGraph(3)
     balls = neighborhood_collection(g, 1)
     assert [canonical_code(t) for t in balls] == ["()"] * 3
+
+
+def _random_bidegrees(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
+    out, inn = [0] * n, [0] * n
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < p:
+                out[u] += 1
+                inn[v] += 1
+    return list(zip(out, inn))
+
+
+def test_heap_realizers_match_the_dense_reference():
+    # The greedies pick by exactly the documented orders, so even on all-equal
+    # inputs (the most ties) the edge lists must be the same, zeros included.
+    rng = random.Random(5)
+    sequences = [[3] * 2000, [1] * 64, [0, 2, 0, 2, 2, 0]]
+    bisequences = [[(2, 2)] * 2000, [(1, 1)] * 64, [(0, 0), (1, 1), (0, 0), (1, 1)]]
+    for _ in range(40):
+        n = rng.randrange(1, 120)
+        sequences.append(list(random_graph(rng, n, rng.random()).degree_sequence()))
+        bisequences.append(_random_bidegrees(rng, rng.randrange(1, 60), rng.random()))
+    for seq in sequences:
+        assert havel_hakimi(seq).edges == havel_hakimi_dense(seq).edges, seq
+    for pairs in bisequences:
+        assert kleitman_wang(pairs).arcs == kleitman_wang_dense(pairs).arcs, pairs
+
+
+def test_realizers_run_once_per_type_on_its_support(monkeypatch):
+    calls: dict[str, list[int]] = {"hh": [], "kw": []}
+
+    def counted(name, inner):
+        def call(vector):
+            calls[name].append(len(vector))
+            return inner(vector)
+
+        return call
+
+    monkeypatch.setattr(unicover.realize, "havel_hakimi", counted("hh", havel_hakimi))
+    monkeypatch.setattr(unicover.realize, "kleitman_wang", counted("kw", kleitman_wang))
+    rng = random.Random(11)
+    n, m = 200, 260
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph = SimpleGraph(n, rng.sample(pairs, m))
+    for h in (1, 2, 3):
+        calls["hh"].clear()
+        calls["kw"].clear()
+        trees = neighborhood_collection(graph, h)
+        table = build_table(trees, h)
+        realize_neighborhood(trees, h)
+        diagonal = [e for e in table.occurring_types() if e.klass is TypeClass.DIAGONAL]
+        assert calls["hh"] == [len(table.supports[e]) for e in diagonal]
+        assert calls["kw"] == [len(pair_support(table, r)[0]) for r in inverse_pairs(table)]
+        assert calls["hh"] or calls["kw"]
+        assert max(calls["hh"] + calls["kw"]) < n

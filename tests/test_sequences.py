@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -20,7 +20,9 @@ from unicover import (
     realize_neighborhood,
     verify_realization,
 )
+from reference import first_directed_violation, first_subsum_violation
 from treegen import cycle_graph, random_graph
+from unicover.sequences import _first_directed_violation, _first_subsum_violation
 
 
 def graphical_by_enumeration(seq):
@@ -209,3 +211,123 @@ def test_check_is_deterministic():
     a = check_neighborhood(table)
     b = check_neighborhood(table)
     assert a == b
+
+
+def _near_boundary_degrees(rng: random.Random, s: int) -> list[int]:
+    """Random degrees of one of three shapes, most of them close to graphical."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        return [rng.randrange(rng.randrange(1, s + 1) + 1) for _ in range(s)]
+    degrees = [0] * s
+    p = rng.random()
+    for u in range(s):
+        for v in range(u + 1, s):
+            if rng.random() < p:
+                degrees[u] += 1
+                degrees[v] += 1
+    if shape == 2:
+        # move a few units toward the largest entries
+        for _ in range(rng.randrange(1, 4)):
+            i, j = rng.randrange(s), rng.randrange(s)
+            if degrees[j]:
+                degrees[i] += 1
+                degrees[j] -= 1
+    return degrees
+
+
+def _near_boundary_pairs(rng: random.Random, s: int) -> list[tuple[int, int]]:
+    if rng.randrange(2):
+        hi = rng.randrange(1, s + 1)
+        return [(rng.randrange(hi + 1), rng.randrange(hi + 1)) for _ in range(s)]
+    out, inn = [0] * s, [0] * s
+    p = rng.random()
+    for u in range(s):
+        for v in range(s):
+            if u != v and rng.random() < p:
+                out[u] += 1
+                inn[v] += 1
+    for _ in range(rng.randrange(4)):
+        i, j = rng.randrange(s), rng.randrange(s)
+        if out[j]:
+            out[i] += 1
+            out[j] -= 1
+    return list(zip(out, inn))
+
+
+def test_subsum_scans_match_the_quadratic_reference_on_random_supports():
+    rng = random.Random(2024)
+    witnesses, directed_witnesses = set(), set()
+    for _ in range(600):
+        s = rng.choice((rng.randrange(1, 12), rng.randrange(1, 60), rng.randrange(1, 301)))
+        degrees = _near_boundary_degrees(rng, s)
+        k = _first_subsum_violation(degrees)
+        assert k == first_subsum_violation(sorted(degrees, reverse=True)), degrees
+        witnesses.add(k)
+        pairs = _near_boundary_pairs(rng, min(s, 120))
+        k = _first_directed_violation(pairs)
+        assert k == first_directed_violation(sorted(pairs, reverse=True)), pairs
+        directed_witnesses.add(k)
+    # the inputs reach both verdicts and witnesses past the first entry
+    assert None in witnesses and len(witnesses) > 6
+    assert None in directed_witnesses and len(directed_witnesses) > 6
+
+
+def test_subsum_scans_match_the_quadratic_reference_exhaustively():
+    # Both scans sort their input first, so every multiset covers every order.
+    for n in range(7):
+        for seq in combinations_with_replacement(range(n + 1), n):
+            assert _first_subsum_violation(seq) == first_subsum_violation(seq[::-1]), seq
+        values = list(product(range(min(n, 3) + 1), repeat=2))
+        for pairs in combinations_with_replacement(values, n):
+            want = first_directed_violation(sorted(pairs, reverse=True))
+            assert _first_directed_violation(pairs) == want, pairs
+
+
+def _star_and_head_degrees(rng: random.Random, n: int) -> list[int]:
+    """n entries: a head of h equal degrees around the largest that a tail of 1s and 2s allows."""
+    h = rng.randrange(2, 60)
+    tail = [rng.choice((1, 1, 2)) for _ in range(n - h)]
+    bound = (h * (h - 1) + sum(min(d, h) for d in tail)) // h
+    head = bound + rng.randrange(-2, 3)
+    degrees = [head] * h + tail
+    if sum(degrees) % 2:
+        degrees[-1] = 3 - degrees[-1]
+    rng.shuffle(degrees)
+    return degrees
+
+
+def _hub_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """One hub whose out-degree is about the number of vertices that can take an arc."""
+    h = rng.randrange(20, 200)
+    per_head = rng.randrange(1, 40)
+    inn = [per_head] * h + [0] * (n - h)
+    hub = rng.randrange(h - 1, h + 2)
+    spread = h * per_head - hub
+    out = [hub] + [1] * spread + [0] * (n - 1 - spread)
+    hub_at = rng.choice((0, h))  # the hub is one of the heads, or just past them
+    out[0], out[hub_at] = out[hub_at], out[0]
+    pairs = list(zip(out, inn))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_sequence_tests_agree_with_networkx_at_scale():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(77)
+    verdicts, directed_verdicts = set(), set()
+    for n in (1000, 3000, 10_000):
+        for _ in range(4):
+            g = nx.gnm_random_graph(n, 2 * n, seed=rng.randrange(10**6))
+            for degrees in ([d for _, d in g.degree()], _star_and_head_degrees(rng, n)):
+                ok, _ = erdos_gallai(degrees)
+                assert ok == nx.is_graphical(degrees)
+                verdicts.add(ok)
+            d = nx.gnm_random_graph(n, 2 * n, seed=rng.randrange(10**6), directed=True)
+            for pairs in (
+                [(d.out_degree(v), d.in_degree(v)) for v in d],
+                _hub_pairs(rng, n),
+            ):
+                ok, _ = fulkerson_chen_anstee(pairs)
+                assert ok == nx.is_digraphical([b for _, b in pairs], [a for a, _ in pairs])
+                directed_verdicts.add(ok)
+    assert verdicts == directed_verdicts == {True, False}

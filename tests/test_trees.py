@@ -174,3 +174,33 @@ def test_forest_ids_follow_isomorphism():
     assert (forest.codes[x], forest.depths[x], forest.tree(x)) == ("(()(()))", 2, parse_tree("(()(()))"))
     assert forest.codes[forest.truncate(x, 1)] == "(()())"
     assert forest.truncate(x, 2) == x
+
+
+def test_equality_and_hash_of_very_deep_trees():
+    word = "(" * 3000 + ")" * 3000
+    a, b = parse_tree(word), read_collection([word])[0]
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_tree("(" * 3000 + "()" + ")" * 3000)
+    assert len({a, b}) == 1
+
+
+def test_equality_is_structural_and_order_sensitive():
+    leaf = RootedTree()
+    cherry = RootedTree((leaf, leaf))
+    assert RootedTree((RootedTree(), RootedTree())) == cherry
+    assert hash(RootedTree((RootedTree(), RootedTree()))) == hash(cherry)
+    assert RootedTree((leaf, cherry)) != RootedTree((cherry, leaf))
+    assert RootedTree((leaf,)) != cherry and cherry != "(()())"
+    rng = random.Random(8)
+
+    def same(a, b):  # the recursive definition, fine for these small trees
+        return len(a.children) == len(b.children) and all(map(same, a.children, b.children))
+
+    for _ in range(300):
+        t = random_tree(rng, 12)
+        s = shuffle_tree(t, rng)
+        assert (t == s) == same(t, s)
+        if t == s:
+            assert hash(t) == hash(s)
+        assert parse_tree(canonical_code(t)) == parse_tree(canonical_code(s))
