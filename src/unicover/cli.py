@@ -3,7 +3,8 @@
 Exit codes: 0 success (graphical / match), 1 negative outcome (not
 graphical / mismatch / failed selftest), 2 input error, 3 internal error
 that should be reported as a bug.  JSON results go to stdout, diagnostics to
-stderr.
+stderr.  A command parses its tree collection once, into one Forest, and
+works on the root ids from then on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ import json
 import sys
 from typing import Sequence
 
-from .edge_types import build_table
+# Not called here; perfbench/tracer.py wraps these names in this module.
+from . import (  # noqa: F401
+    build_table, canonical_code as serialize, first_mismatch, neighborhood_collection, realize_neighborhood
+)
+from .edge_types import table_from_ids
 from .errors import (
     DepthError,
     GraphFormatError,
@@ -26,12 +31,10 @@ from .errors import (
 )
 from .graphs import read_graph, to_dot, write_graph
 from .oracle import cross_validate
-from .realize import realize_neighborhood
+from .realize import realize_table
 from .sequences import check_neighborhood
-from .trees import Forest, RootedTree, iter_collection, write_collection
-# Not called here; perfbench/tracer.py wraps `cli.serialize` by this name.
-from .trees import canonical_code as serialize  # noqa: F401
-from .unfold import first_mismatch, neighborhood_collection
+from .trees import Forest, iter_collection
+from .unfold import ball_ids, first_mismatch_in
 
 
 def _read_lines(path: str) -> list[str]:
@@ -61,25 +64,21 @@ class _Output:
             raise UnicoverError(f"cannot write {self.path}: {exc.strerror}") from None
 
 
-def _load_trees(path: str) -> tuple[list[RootedTree], list[int]]:
-    pairs = list(iter_collection(_read_lines(path)))
-    return [t for _, t in pairs], [lineno for lineno, _ in pairs]
-
-
-def _resolve_depth(trees: Sequence[RootedTree], lines: Sequence[int], override: int | None) -> int:
-    """Depth to check at: the override, or the deepest tree (at least 1)."""
+def _load_trees(path: str, override: int | None) -> tuple[Forest, list[int], int]:
+    """The collection in one Forest, its root ids, and the override or else the deepest depth (>= 1)."""
     forest = Forest()
-    depths = [forest.depths[t] for t in forest.intern(trees)]
+    pairs = list(iter_collection(_read_lines(path), forest=forest))
+    roots = [t for _, t in pairs]
     if override is None:
-        return max(1, max(depths, default=0))
+        return forest, roots, max(1, max([forest.depths[t] for t in roots], default=0))
     if override < 1:
         raise DepthError("--depth must be >= 1")
-    offenders = [lines[i] for i, d in enumerate(depths) if d > override]
+    offenders = [lineno for lineno, t in pairs if forest.depths[t] > override]
     if offenders:
         raise DepthError(
             f"trees deeper than --depth {override} on line(s) {offenders}", indices=tuple(offenders)
         )
-    return override
+    return forest, roots, override
 
 
 def _verdict_payload(verdict, depth: int) -> dict:
@@ -91,9 +90,8 @@ def _verdict_payload(verdict, depth: int) -> dict:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    trees, lines = _load_trees(args.trees)
-    depth = _resolve_depth(trees, lines, args.depth)
-    table = build_table(trees, depth)
+    forest, roots, depth = _load_trees(args.trees, args.depth)
+    table = table_from_ids(forest, roots, depth)
     verdict = check_neighborhood(table)
     payload = _verdict_payload(verdict, depth)
     if args.explain:
@@ -103,20 +101,18 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    trees, lines = _load_trees(args.trees)
-    depth = _resolve_depth(trees, lines, args.depth)
-    try:
-        graph = realize_neighborhood(trees, depth)
-    except NotGraphical as exc:
-        print(f"not graphical at depth {depth}: {exc}", file=sys.stderr)
-        print(json.dumps(_verdict_payload(exc.verdict, depth), indent=2))
+    forest, roots, depth = _load_trees(args.trees, args.depth)
+    table = table_from_ids(forest, roots, depth)
+    verdict = check_neighborhood(table)
+    if not verdict.graphical:
+        print(f"not graphical at depth {depth}: {NotGraphical(verdict)}", file=sys.stderr)
+        print(json.dumps(_verdict_payload(verdict, depth), indent=2))
         return 1
+    graph = realize_table(table)
     if args.verify:
-        bad = first_mismatch(graph, trees, depth)
+        bad = first_mismatch_in(forest, graph, roots, depth)
         if bad is not None:
-            raise InternalInvariantError(
-                f"realized graph fails verification at vertex {bad}"
-            )
+            raise InternalInvariantError(f"realized graph fails verification at vertex {bad}")
     if args.format == "dot":
         _Output(args.output).write_text(to_dot(graph))
     else:
@@ -130,17 +126,18 @@ def cmd_neighborhoods(args: argparse.Namespace) -> int:
     graph = read_graph(_read_lines(args.graph))
     if args.depth < 0:
         raise UnicoverError("--depth must be >= 0")
-    buf = io.StringIO()
-    write_collection(neighborhood_collection(graph, args.depth), buf)
-    _Output(args.output).write_text(buf.getvalue())
+    forest = Forest()
+    balls = ball_ids(forest, graph, args.depth)
+    _Output(args.output).write_text("".join([forest.codes[t] + "\n" for t in balls]))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.graph == "-" and args.trees == "-":
+        raise UnicoverError("the graph and the trees cannot both be read from stdin ('-')")
     graph = read_graph(_read_lines(args.graph))
-    trees, lines = _load_trees(args.trees)
-    depth = _resolve_depth(trees, lines, args.depth)
-    bad = first_mismatch(graph, trees, depth)
+    forest, roots, depth = _load_trees(args.trees, args.depth)
+    bad = first_mismatch_in(forest, graph, roots, depth)
     if bad is None:
         print(f"ok: all {graph.n} vertices match at depth {depth}", file=sys.stderr)
         return 0
@@ -149,6 +146,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    # Smaller values would run no case at all and pass vacuously.
+    if args.max_n < 0 or args.depth < 1 or args.mutants_per_case < 0:
+        raise UnicoverError("--max-n and --mutants-per-case must be >= 0, --depth >= 1")
     runs = []
     for n in range(args.max_n + 1):
         for depth in range(1, args.depth + 1):

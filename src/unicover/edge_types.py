@@ -9,7 +9,9 @@ endpoint.
 
 Both pieces are computed on interned ids of a :class:`~unicover.trees.Forest`
 (far = the child's id, near = the node over the other children's truncated
-ids), and the code strings of a type are looked up once per distinct type.
+ids).  Each distinct type's codes, class and sort key are worked out once,
+and so is the plan of diagonal types and inverse pairs that the check and
+the realizer follow.
 
 The table stores each type by its support only, the vertices with a nonzero
 count, so a type costs time and memory in proportion to its support, never
@@ -30,8 +32,7 @@ __all__ = [
     "EdgeType",
     "TypedDegreeTable",
     "build_table",
-    "inverse_pairs",
-    "pair_support",
+    "table_from_ids",
 ]
 
 
@@ -92,11 +93,17 @@ def _edge_pairs(forest: Forest, child_ids: Sequence[int], depth: int) -> list[tu
 class TypedDegreeTable:
     """Per-vertex, per-type counts of root-incident edges.
 
-    `supports` maps each occurring type to its support: the `(vertex,
-    count)` pairs with a nonzero count, in vertex order.  `totals` holds the
-    count sums; `degree_seq` is the plain root-degree sequence (the row sums
-    over types).  The dense length-`n` vectors (`degrees`,
+    `supports` maps each occurring type, in sort order, to its support: the
+    `(vertex, count)` pairs with a nonzero count, in vertex order.  `totals`
+    holds the count sums; `degree_seq` is the plain root-degree sequence
+    (the row sums over types).  The dense length-`n` vectors (`degrees`,
     :meth:`degree_vector`) are built on request only.
+
+    The plan that the check and the realizer follow, both parts in sort
+    order: `diagonal` lists the diagonal types, and `pairs` holds one
+    `(rep, vertices, counts)` per inverse pair: its A-class member, the
+    vertices where either member occurs (ascending), and their (out, in)
+    counts, out being `rep`'s count and in its inverse's.
     """
 
     n: int
@@ -104,10 +111,12 @@ class TypedDegreeTable:
     supports: dict[EdgeType, tuple[tuple[int, int], ...]]
     totals: dict[EdgeType, int]
     degree_seq: tuple[int, ...]
+    diagonal: tuple[EdgeType, ...]
+    pairs: tuple[tuple[EdgeType, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
 
     def occurring_types(self) -> list[EdgeType]:
         """All types with at least one edge, in deterministic order."""
-        return sorted(self.supports, key=EdgeType.sort_key)
+        return list(self.supports)
 
     def degree_vector(self, etype: EdgeType) -> tuple[int, ...]:
         """Length-`n` count vector for `etype`; all zeros if the type never occurs."""
@@ -143,15 +152,20 @@ def build_table(trees: Sequence[RootedTree], depth: int) -> TypedDegreeTable:
 
     Raises DepthError (listing the offending indices) if any tree is deeper
     than `depth`; requires `depth` >= 1.  The trees are interned into one
-    :class:`Forest`, so each distinct subtree is handled once and each
-    distinct type's codes are looked up once.  Apart from the interning,
-    the cost is O(n + root edges + types log types): each type's support is
-    built from its own edges, never as a length-`n` vector.
+    :class:`Forest` and tabulated by :func:`table_from_ids`.
+    """
+    forest = Forest()
+    return table_from_ids(forest, list(forest.intern(trees)), depth)
+
+
+def table_from_ids(forest: Forest, roots: Sequence[int], depth: int) -> TypedDegreeTable:
+    """:func:`build_table` for the trees with ids `roots` in `forest`.
+
+    Costs O(n + root edges + types log types): each type's support is built
+    from its own edges, never as a length-`n` vector.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    forest = Forest()
-    roots = list(forest.intern(trees))
     too_deep = tuple(i for i, t in enumerate(roots) if forest.depths[t] > depth)
     if too_deep:
         raise DepthError(
@@ -171,34 +185,23 @@ def build_table(trees: Sequence[RootedTree], depth: int) -> TypedDegreeTable:
                 entries = support[pair] = []
             entries.append((i, count))
     codes = forest.codes
-    typed = sorted(
-        ((EdgeType(near=codes[near], far=codes[far]), entries) for (near, far), entries in support.items()),
-        key=lambda item: item[0].sort_key(),
-    )
-    supports = {etype: tuple(entries) for etype, entries in typed}
+    keys = {t: code_sort_key(codes[t]) for pair in support for t in pair}
+    etypes = {pair: EdgeType(near=codes[pair[0]], far=codes[pair[1]]) for pair in support}
+    order = sorted(support, key=lambda p: (keys[p[0]], keys[p[1]]))
+    supports = {etypes[p]: tuple(support[p]) for p in order}
     totals = {etype: sum(c for _, c in entries) for etype, entries in supports.items()}
-    degree_seq = tuple(len(forest.kids[t]) for t in roots)
-    return TypedDegreeTable(
-        n=len(roots), depth=depth, supports=supports, totals=totals, degree_seq=degree_seq
+    diagonal = tuple(etypes[p] for p in order if p[0] == p[1])
+    # An inverse pair is named by its A-class member, whether or not it occurs.
+    reps = sorted(
+        {(near, far) if keys[near] < keys[far] else (far, near) for near, far in order if near != far},
+        key=lambda p: (keys[p[0]], keys[p[1]]),
     )
-
-
-def inverse_pairs(table: TypedDegreeTable) -> list[EdgeType]:
-    """The A-class member of each inverse pair with an occurring type, sorted."""
-    reps = {
-        e if e.klass is TypeClass.A else e.inverse()
-        for e in table.supports
-        if e.klass is not TypeClass.DIAGONAL
-    }
-    return sorted(reps, key=EdgeType.sort_key)
-
-
-def pair_support(table: TypedDegreeTable, rep: EdgeType) -> tuple[list[int], list[tuple[int, int]]]:
-    """The vertices where `rep` or its inverse occurs, ascending, and their (out, in) counts.
-
-    Costs O(s log s) for a joint support of s vertices.
-    """
-    out = dict(table.supports.get(rep, ()))
-    inn = dict(table.supports.get(rep.inverse(), ()))
-    vertices = sorted(out.keys() | inn.keys())
-    return vertices, [(out.get(v, 0), inn.get(v, 0)) for v in vertices]
+    pairs = []
+    for near, far in reps:
+        out = dict(support.get((near, far), ()))
+        inn = dict(support.get((far, near), ()))
+        vertices = tuple(sorted(out.keys() | inn.keys()))
+        rep = etypes.get((near, far)) or EdgeType(near=codes[near], far=codes[far])
+        pairs.append((rep, vertices, tuple((out.get(v, 0), inn.get(v, 0)) for v in vertices)))
+    degree_seq = tuple(len(forest.kids[t]) for t in roots)
+    return TypedDegreeTable(len(roots), depth, supports, totals, degree_seq, diagonal, tuple(pairs))

@@ -7,9 +7,10 @@ union is provably simple for tables harvested from any graph, so a collision
 during gluing is treated as an internal bug, never as bad input.
 
 Both realizers are deterministic greedies; identical inputs produce
-identical edge lists byte for byte.  Each type is realized on its support
-alone, relabelled in vertex order, and :func:`glue` maps the part back; a
-support of s vertices with m edges costs O((s + m) log s).
+identical edge lists byte for byte.  :func:`realize_table` runs them along
+a checked table's plan, each type on its support alone, relabelled in
+vertex order, and :func:`glue` maps the parts back; a support of s vertices
+with m edges costs O((s + m) log s).
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Mapping, NamedTuple, Sequence
 
-from .edge_types import (
-    EdgeType,
-    TypeClass,
-    TypedDegreeTable,
-    build_table,
-    inverse_pairs,
-    pair_support,
-)
+from .edge_types import EdgeType, TypeClass, TypedDegreeTable, build_table
 from .errors import InternalInfeasible, InternalInvariantError, NotGraphical, SimplicityViolation
 from .graphs import Digraph, SimpleGraph
 from .sequences import check_neighborhood
@@ -38,6 +32,7 @@ __all__ = [
     "kleitman_wang",
     "glue",
     "realize_neighborhood",
+    "realize_table",
 ]
 
 
@@ -243,7 +238,7 @@ def realize_neighborhood(trees: Sequence[RootedTree], depth: int) -> SimpleGraph
     """Graph whose depth-`depth` cover balls match `trees` index by index.
 
     Runs the full pipeline: typed degree table, per-type feasibility check,
-    per-type realizers, glue.  Raises NotGraphical (carrying the verdict)
+    then :func:`realize_table`.  Raises NotGraphical (carrying the verdict)
     when the collection fails the check; DepthError propagates from the
     table construction.
     """
@@ -251,16 +246,18 @@ def realize_neighborhood(trees: Sequence[RootedTree], depth: int) -> SimpleGraph
     verdict = check_neighborhood(table)
     if not verdict.graphical:
         raise NotGraphical(verdict)
+    return realize_table(table)
 
+
+def realize_table(table: TypedDegreeTable) -> SimpleGraph:
+    """Graph realizing a table that passed :func:`check_neighborhood`, along the table's plan."""
     # Each type is realized on its support alone, relabelled in vertex order,
     # so the lowest-index tie-breaks pick the same edges as on all n vertices.
-    parts: dict[EdgeType, tuple[list[int], SimpleGraph | Digraph]] = {}
-    for etype in table.occurring_types():
-        if etype.klass is TypeClass.DIAGONAL:
-            support = table.supports[etype]
-            parts[etype] = ([v for v, _ in support], havel_hakimi([c for _, c in support]))
-    for rep in inverse_pairs(table):
-        vertices, pairs = pair_support(table, rep)
+    parts: dict[EdgeType, tuple[Sequence[int], SimpleGraph | Digraph]] = {}
+    for etype in table.diagonal:
+        support = table.supports[etype]
+        parts[etype] = ([v for v, _ in support], havel_hakimi([c for _, c in support]))
+    for rep, vertices, pairs in table.pairs:
         parts[rep] = (vertices, kleitman_wang(pairs))
 
     tagged = glue(parts, n=table.n)

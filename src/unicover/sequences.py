@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Sequence
 
-from .edge_types import EdgeType, TypeClass, TypedDegreeTable, inverse_pairs, pair_support
+from .edge_types import EdgeType, TypedDegreeTable
 
 __all__ = [
     "FailureKind",
@@ -172,19 +172,17 @@ def fulkerson_chen_anstee(pairs: Sequence[tuple[int, int]]) -> tuple[bool, int |
 def check_neighborhood(table: TypedDegreeTable) -> Verdict:
     """Apply the per-type conditions to a table, collecting every failure.
 
-    Diagonal types must have a graphical count vector (an odd total is
-    reported as its own failure kind); each inverse pair of non-diagonal
-    types, keyed by its A-class member, must have a digraphical (out, in)
-    pair vector (unequal totals likewise get their own kind).  Failures are
-    collected exhaustively, never short-circuited.  Each type is tested on
-    its support only: vertices with no edges of the type cannot change the
+    Following the table's plan, each of its `diagonal` types must have a
+    graphical count vector (an odd total is reported as its own failure
+    kind), and each of its `pairs` a digraphical (out, in) pair vector
+    (unequal totals likewise get their own kind).  Failures are collected
+    exhaustively, never short-circuited.  Each type is tested on its
+    support only: vertices with no edges of the type cannot change the
     verdict or the witness.  A diagonal support of s vertices costs O(s),
     an inverse pair's joint support O(s log s).
     """
     failures: list[FailureRecord] = []
-    for etype in table.occurring_types():
-        if etype.klass is not TypeClass.DIAGONAL:
-            continue
+    for etype in table.diagonal:
         if table.totals[etype] % 2 == 1:
             failures.append(FailureRecord(etype, FailureKind.ODD_DIAGONAL_SUM))
             continue
@@ -192,8 +190,7 @@ def check_neighborhood(table: TypedDegreeTable) -> Verdict:
         if k is not None:
             failures.append(FailureRecord(etype, FailureKind.EG_VIOLATION, k))
 
-    for rep in inverse_pairs(table):
-        _, pairs = pair_support(table, rep)
+    for rep, _, pairs in table.pairs:
         if sum(a for a, _ in pairs) != sum(b for _, b in pairs):
             failures.append(FailureRecord(rep, FailureKind.UNBALANCED_PAIR))
             continue

@@ -272,15 +272,12 @@ def count_nodes(tree: RootedTree) -> int:
     return total
 
 
-def iter_collection(lines: Iterable[str]) -> Iterator[tuple[int, RootedTree]]:
-    """Yield (line number, tree) for each tree line of a collection file.
+def iter_collection(lines: Iterable[str], *, forest: Forest) -> Iterator[tuple[int, int]]:
+    """Yield (line number, id in `forest`) for each tree line of a collection file.
 
     Blank lines and lines starting with '#' are skipped.  Line numbers are
-    1-based and refer to the raw input.  All trees are parsed into one
-    :class:`Forest`, so isomorphic subtrees across the whole collection are
-    one shared object.
+    1-based and refer to the raw input.
     """
-    forest = Forest()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -289,12 +286,13 @@ def iter_collection(lines: Iterable[str]) -> Iterator[tuple[int, RootedTree]]:
             tid = forest.parse(line)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        yield lineno, forest.tree(tid)
+        yield lineno, tid
 
 
 def read_collection(lines: Iterable[str]) -> list[RootedTree]:
-    """Read a tree collection, one balanced-parentheses word per line."""
-    return [tree for _, tree in iter_collection(lines)]
+    """Read a tree collection, one word per line; isomorphic subtrees are shared objects."""
+    forest = Forest()
+    return [forest.tree(tid) for _, tid in iter_collection(lines, forest=forest)]
 
 
 def write_collection(trees: Iterable[RootedTree], out: IO[str]) -> None:

@@ -6,7 +6,9 @@ explicitly.  A ball of radius r around a vertex is built from the walks
 that never reverse the edge just used, which on a simple graph is the same
 as never returning to the previous vertex.  Balls are interned into a
 :class:`~unicover.trees.Forest` level by level, bottom-up, so nothing
-recurses and no code string is parsed back.
+recurses and no code string is parsed back.  :func:`ball_ids` and
+:func:`first_mismatch_in` work in the caller's Forest, so balls compare
+with trees parsed into it by id.
 """
 
 from __future__ import annotations
@@ -17,20 +19,24 @@ from .graphs import SimpleGraph
 from .trees import Forest, RootedTree
 
 __all__ = [
+    "ball_ids",
     "cover_ball",
     "neighborhood_collection",
     "verify_realization",
     "first_mismatch",
+    "first_mismatch_in",
 ]
 
 
-def _ball_ids(forest: Forest, graph: SimpleGraph, radius: int) -> list[int]:
-    """Forest id of every vertex's radius-`radius` ball, in vertex order.
+def ball_ids(forest: Forest, graph: SimpleGraph, radius: int) -> list[int]:
+    """Id in `forest` of every vertex's radius-`radius` ball, in vertex order.
 
     The walks below a step v -> w depend only on (w, v, levels left), so the
     balls are built bottom-up over directed edges, one level at a time, in
     O(radius * sum of squared degrees) node lookups whatever the ball sizes.
     """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     adj = graph.adj
     if radius == 0:
         return [forest.leaf] * graph.n
@@ -56,7 +62,8 @@ def cover_ball(graph: SimpleGraph, vertex: int, radius: int) -> RootedTree:
     """
     if not 0 <= vertex < graph.n:
         raise IndexError(f"vertex {vertex} out of range for n={graph.n}")
-    return neighborhood_collection(graph, radius)[vertex]
+    forest = Forest()
+    return forest.tree(ball_ids(forest, graph, radius)[vertex])
 
 
 def neighborhood_collection(graph: SimpleGraph, radius: int) -> list[RootedTree]:
@@ -65,23 +72,22 @@ def neighborhood_collection(graph: SimpleGraph, radius: int) -> list[RootedTree]
     All balls live in one :class:`Forest`, so isomorphic subtrees are one
     shared object.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     forest = Forest()
-    return [forest.tree(t) for t in _ball_ids(forest, graph, radius)]
+    return [forest.tree(t) for t in ball_ids(forest, graph, radius)]
 
 
 def first_mismatch(graph: SimpleGraph, trees: Sequence[RootedTree], radius: int) -> int | None:
     """Lowest vertex whose cover ball differs from its tree, or None."""
-    if len(trees) != graph.n:
-        raise ValueError(f"{len(trees)} trees for a graph on {graph.n} vertices")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     forest = Forest()
-    balls = _ball_ids(forest, graph, radius)
-    # Trees are interned lazily, so the scan stops at the first mismatch.
-    pairs = enumerate(zip(balls, forest.intern(trees)))
-    return next((v for v, (got, want) in pairs if got != want), None)
+    return first_mismatch_in(forest, graph, list(forest.intern(trees)), radius)
+
+
+def first_mismatch_in(forest: Forest, graph: SimpleGraph, roots: Sequence[int], radius: int) -> int | None:
+    """:func:`first_mismatch` for the trees with ids `roots` in `forest`."""
+    if len(roots) != graph.n:
+        raise ValueError(f"{len(roots)} trees for a graph on {graph.n} vertices")
+    balls = ball_ids(forest, graph, radius)
+    return next((v for v, (got, want) in enumerate(zip(balls, roots)) if got != want), None)
 
 
 def verify_realization(graph: SimpleGraph, trees: Sequence[RootedTree], radius: int) -> bool:

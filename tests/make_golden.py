@@ -5,7 +5,8 @@ Usage: PYTHONPATH=src python tests/make_golden.py [OUT]
 Each case is a small random graph (n <= 6, depth 1-3) with its
 `neighborhoods` output, and a tree collection (the harvest with every child
 list shuffled in the text, or an `oracle.mutate_collection` mutant of it)
-with its `check --explain` and `realize` outputs.  Inputs and outputs are
+with its `check --explain` and `realize` outputs, and the `verify` outcome of
+the graph against that collection.  Inputs and outputs are
 stored together, so the test needs nothing from this script.  Regenerate
 only when an output is meant to change.
 """
@@ -68,6 +69,8 @@ def make_case(rng: random.Random, work: Path) -> dict:
         unfold,
         run_cli(["check", "TREES", *depth_args, "--explain"], paths),
         run_cli(["realize", "TREES", *depth_args, *verify_args], paths),
+        # Draws no random numbers, so the runs above stay as they were.
+        run_cli(["verify", "GRAPH", "TREES", *depth_args], paths),
     ]
     return {"kind": kind, "graph": buf.getvalue(), "trees": trees_text, "runs": runs}
 

@@ -1,15 +1,18 @@
-"""The quadratic scans and dense realizers that the support-only code replaced.
+"""Earlier forms of library code, kept as references for differential tests.
 
-Kept as references: the linear subsum scans must return the same smallest
-witness k, and the heap-based realizers the same edge lists, as these
-direct transcriptions of the definitions.
+The quadratic scans and dense realizers that the support-only code
+replaced: the linear subsum scans must return the same smallest witness k,
+and the heap-based realizers the same edge lists, as these direct
+transcriptions of the definitions.  The inverse-pair helpers that the
+table's plan replaced: `TypedDegreeTable.pairs` must name and fill the
+same pairs in the same order.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from unicover import Digraph, SimpleGraph
+from unicover import Digraph, EdgeType, SimpleGraph, TypeClass, TypedDegreeTable
 
 
 def first_subsum_violation(desc: Sequence[int]) -> int | None:
@@ -77,3 +80,21 @@ def kleitman_wang_dense(pairs: Sequence[tuple[int, int]]) -> Digraph:
             res_in[t] -= 1
             arcs.append((v, t))
     return Digraph(n, arcs)
+
+
+def inverse_pairs(table: TypedDegreeTable) -> list[EdgeType]:
+    """The A-class member of each inverse pair with an occurring type, sorted."""
+    reps = {
+        e if e.klass is TypeClass.A else e.inverse()
+        for e in table.supports
+        if e.klass is not TypeClass.DIAGONAL
+    }
+    return sorted(reps, key=EdgeType.sort_key)
+
+
+def pair_support(table: TypedDegreeTable, rep: EdgeType) -> tuple[list[int], list[tuple[int, int]]]:
+    """The vertices where `rep` or its inverse occurs, ascending, and their (out, in) counts."""
+    out = dict(table.supports.get(rep, ()))
+    inn = dict(table.supports.get(rep.inverse(), ()))
+    vertices = sorted(out.keys() | inn.keys())
+    return vertices, [(out.get(v, 0), inn.get(v, 0)) for v in vertices]

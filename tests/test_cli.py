@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from unicover import cli, graphs
+from unicover import cli, graphs, trees
 from unicover.cli import main
 from treegen import cycle_graph, random_graph
 
@@ -150,6 +150,52 @@ def test_verify_size_mismatch_is_input_error(tmp_path, capsys):
     trees = write(tmp_path / "t.txt", "(())\n(())\n")
     code, out, err = run(capsys, "verify", graph, trees)
     assert (code, out, err) == (2, "", "error: 2 trees for a graph on 3 vertices\n")
+
+
+def test_verify_rejects_stdin_for_both_inputs(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("n=2\n0 1\n"))
+    code, out, err = run(capsys, "verify", "-", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: the graph and the trees cannot both be read from stdin ('-')\n"
+
+
+def test_selftest_rejects_values_that_run_no_case(capsys):
+    # Each of these ran zero cases and passed.
+    for args in (["--depth", "0"], ["--max-n", "-1"], ["--mutants-per-case", "-1", "--max-n", "1"]):
+        code, out, err = run(capsys, "selftest", *args)
+        assert (code, out) == (2, ""), args
+        assert err.startswith("error: --") and "must be >=" in err, args
+
+
+def test_each_command_parses_into_one_forest(tmp_path, capsys, monkeypatch):
+    rng = random.Random(8)
+    graph = random_graph(rng, 12, 0.25)
+    g_path = tmp_path / "g.txt"
+    with open(g_path, "w") as handle:
+        unicover.write_graph(graph, handle)
+    t_path = tmp_path / "t.txt"
+    with open(t_path, "w") as handle:
+        unicover.write_collection(unicover.neighborhood_collection(graph, 3), handle)
+    made = []
+    init = trees.Forest.__init__
+
+    def counted(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(trees.Forest, "__init__", counted)
+    g, t = str(g_path), str(t_path)
+    for argv in (
+        ["check", t],
+        ["check", t, "--explain"],
+        ["realize", t],
+        ["realize", t, "--verify"],
+        ["verify", g, t],
+        ["neighborhoods", g, "--depth", "3"],
+    ):
+        made.clear()
+        code, _, _ = run(capsys, *argv)
+        assert (code, len(made)) == (0, 1), argv
 
 
 def test_selftest_small(capsys):

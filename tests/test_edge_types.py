@@ -11,12 +11,13 @@ from unicover import (
     build_table,
     canonical_code,
     erdos_gallai,
+    mutate_collection,
     neighborhood_collection,
     parse_tree,
 )
-from unicover.edge_types import inverse_pairs, pair_support
 from unicover.trees import depth
-from treegen import cycle_graph, random_tree, shuffle_tree
+import reference
+from treegen import cycle_graph, random_graph, random_tree, shuffle_tree
 
 
 def test_single_edge_type_is_trivial_diagonal():
@@ -99,18 +100,41 @@ def test_build_table_mixed_pair():
     assert table.totals[skew] == 1
     assert table.degree_vector(skew.inverse()) == (0, 0)
     assert table.supports == {diag: ((0, 1),), skew: ((1, 1),)}
-    assert pair_support(table, skew) == ([1], [(1, 0)])
+    assert table.diagonal == (diag,)
+    assert table.pairs == ((skew, (1,), ((1, 0),)),)
 
 
 def test_inverse_pairs_name_each_pair_by_its_a_member():
     skew = EdgeType("()", "(())")
     only_a = build_table([parse_tree("(())"), parse_tree("((()))")], 2)
     assert only_a.occurring_types() == [EdgeType("()", "()"), skew]
-    assert inverse_pairs(only_a) == [skew]
+    assert [rep for rep, _, _ in only_a.pairs] == [skew]
     only_b = build_table([parse_tree("(()(()))")], 2)
     assert skew.inverse() in only_b.degrees and skew not in only_b.degrees
-    assert inverse_pairs(only_b) == [skew]
-    assert pair_support(only_b, skew) == ([0], [(0, 1)])
+    assert [rep for rep, _, _ in only_b.pairs] == [skew]
+    assert only_b.pairs == ((skew, (0,), ((0, 1),)),)
+
+
+def test_plan_matches_the_reference_pairing():
+    # Harvests have both members of every pair; mutants also give pairs
+    # whose A member never occurs.
+    rng = random.Random(41)
+    b_only = 0
+    for _ in range(80):
+        graph = random_graph(rng, rng.randrange(1, 12), rng.choice((0.2, 0.4, 0.6)))
+        h = rng.randint(1, 3)
+        harvest = neighborhood_collection(graph, h)
+        for trees in (harvest, mutate_collection(harvest, rng), mutate_collection(harvest, rng)):
+            table = build_table(trees, h)
+            assert table.occurring_types() == sorted(table.supports, key=EdgeType.sort_key)
+            diagonal = [e for e in table.occurring_types() if e.klass is TypeClass.DIAGONAL]
+            assert list(table.diagonal) == diagonal
+            reps = reference.inverse_pairs(table)
+            assert [rep for rep, _, _ in table.pairs] == reps
+            for rep, vertices, counts in table.pairs:
+                assert (list(vertices), list(counts)) == reference.pair_support(table, rep)
+            b_only += sum(rep not in table.supports for rep in reps)
+    assert b_only > 0
 
 
 def test_build_table_rejects_deep_trees_listing_indices():

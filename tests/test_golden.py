@@ -2,7 +2,7 @@
 
 The corpus (`golden_cli.json`, written by `make_golden.py`) holds about a
 hundred small graphs and tree collections with the `neighborhoods`,
-`check --explain` and `realize` results recorded for them.
+`check --explain`, `realize` and `verify` results recorded for them.
 """
 
 from __future__ import annotations

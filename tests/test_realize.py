@@ -27,7 +27,6 @@ from unicover import (
 import unicover.realize
 from reference import havel_hakimi_dense, kleitman_wang_dense
 from treegen import path_graph, random_graph
-from unicover.edge_types import TypeClass, inverse_pairs, pair_support
 
 DIAG = EdgeType("()", "()")
 DIAG2 = EdgeType("(())", "(())")
@@ -246,8 +245,7 @@ def test_realizers_run_once_per_type_on_its_support(monkeypatch):
         trees = neighborhood_collection(graph, h)
         table = build_table(trees, h)
         realize_neighborhood(trees, h)
-        diagonal = [e for e in table.occurring_types() if e.klass is TypeClass.DIAGONAL]
-        assert calls["hh"] == [len(table.supports[e]) for e in diagonal]
-        assert calls["kw"] == [len(pair_support(table, r)[0]) for r in inverse_pairs(table)]
+        assert calls["hh"] == [len(table.supports[e]) for e in table.diagonal]
+        assert calls["kw"] == [len(vertices) for _, vertices, _ in table.pairs]
         assert calls["hh"] or calls["kw"]
         assert max(calls["hh"] + calls["kw"]) < n

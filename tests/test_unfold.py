@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import unicover.trees
 from unicover import (
     RootedTree,
     SimpleGraph,
@@ -48,6 +49,22 @@ def test_petersen_ball_is_three_regular_tree_ball():
 def test_radius_zero_ball_is_a_point():
     g = cycle_graph(5)
     assert cover_ball(g, 0, 0) == RootedTree()
+
+
+def test_cover_ball_builds_only_its_own_tree(monkeypatch):
+    # An isolated vertex next to a star: its ball is one leaf, while the
+    # whole collection holds three distinct trees.
+    made = []
+
+    class Counted(RootedTree):
+        def __init__(self, children=()):
+            made.append(children)
+            super().__init__(children)
+
+    monkeypatch.setattr(unicover.trees, "RootedTree", Counted)
+    g = SimpleGraph(6, [(1, v) for v in range(2, 6)])
+    assert cover_ball(g, 0, 1) == RootedTree()
+    assert made == [()]
 
 
 def test_collection_of_empty_graph():
