@@ -30,7 +30,7 @@ from .errors import (
     UnicoverError,
 )
 from .graphs import read_graph, to_dot, write_graph
-from .oracle import cross_validate
+from .oracle import MAX_GRAPH_VERTICES, cross_validate
 from .realize import realize_table
 from .sequences import check_neighborhood
 from .trees import Forest, iter_collection
@@ -123,9 +123,9 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 
 def cmd_neighborhoods(args: argparse.Namespace) -> int:
-    graph = read_graph(_read_lines(args.graph))
     if args.depth < 0:
         raise UnicoverError("--depth must be >= 0")
+    graph = read_graph(_read_lines(args.graph))
     forest = Forest()
     balls = ball_ids(forest, graph, args.depth)
     _Output(args.output).write_text("".join([forest.codes[t] + "\n" for t in balls]))
@@ -149,6 +149,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     # Smaller values would run no case at all and pass vacuously.
     if args.max_n < 0 or args.depth < 1 or args.mutants_per_case < 0:
         raise UnicoverError("--max-n and --mutants-per-case must be >= 0, --depth >= 1")
+    if args.max_n > MAX_GRAPH_VERTICES:
+        raise SizeError(f"--max-n must be <= {MAX_GRAPH_VERTICES}, the brute-force cap on graph size")
     runs = []
     for n in range(args.max_n + 1):
         for depth in range(1, args.depth + 1):

@@ -6,6 +6,10 @@ compare the checker and realizer against exhaustive search.  Negative cases
 come from mutating realizable collections rather than sampling random
 tuples, because random tuples are almost always rejected for trivial parity
 or balance reasons and never probe the deeper inequalities.
+
+Each call works on root ids in one :class:`~unicover.trees.Forest`, where
+equal ids are isomorphic trees, so a multiset of trees is a sorted id tuple;
+code strings are read only for reports.
 """
 
 from __future__ import annotations
@@ -15,13 +19,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .edge_types import build_table
+from .edge_types import table_from_ids
 from .errors import SizeError, UnicoverError
 from .graphs import Digraph, SimpleGraph
-from .realize import realize_neighborhood
+from .realize import realize_table
 from .sequences import check_neighborhood
-from .trees import Forest, RootedTree, canonical_code
-from .unfold import neighborhood_collection, verify_realization
+from .trees import Forest, RootedTree
+from .unfold import ball_ids, first_mismatch_in
 
 __all__ = [
     "MAX_GRAPH_VERTICES",
@@ -59,9 +63,7 @@ def enumerate_digraphs(n: int) -> Iterator[Digraph]:
         yield Digraph(n, (a for i, a in enumerate(slots) if mask >> i & 1))
 
 
-def exists_realization_bruteforce(
-    trees: Sequence[RootedTree], depth: int
-) -> SimpleGraph | None:
+def exists_realization_bruteforce(trees: Sequence[RootedTree], depth: int) -> SimpleGraph | None:
     """First enumerated graph whose balls match `trees` index by index.
 
     Because the scan covers every labeling, an index-by-index hit exists
@@ -70,13 +72,15 @@ def exists_realization_bruteforce(
     n = len(trees)
     if n > MAX_GRAPH_VERTICES:
         raise SizeError(f"brute force supports at most {MAX_GRAPH_VERTICES} trees, got {n}")
+    forest = Forest()
+    roots = list(forest.intern(trees))
     # From depth 1 on, a ball's root degree is its vertex's degree, so graphs
     # with another degree sequence are skipped before unfolding.
-    root_degrees = tuple(len(t.children) for t in trees) if depth >= 1 else None
+    root_degrees = tuple(len(forest.kids[t]) for t in roots) if depth >= 1 else None
     for graph in enumerate_graphs(n):
         if root_degrees is not None and graph.degree_sequence() != root_degrees:
             continue
-        if verify_realization(graph, trees, depth):
+        if first_mismatch_in(forest, graph, roots, depth) is None:
             return graph
     return None
 
@@ -87,30 +91,60 @@ def exists_realization_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-def _drop_deepest_leaf(tree: RootedTree, rng: random.Random) -> RootedTree:
-    """Remove one uniformly chosen node at maximal depth, in canonical order.
+def _drop_deepest_leaf(forest: Forest, tid: int, rng: random.Random) -> int:
+    """Id of tree `tid` less one uniformly chosen node at maximal depth.
 
-    The deepest nodes are numbered left to right in stored child order, so a
-    given rng draw always drops the same node.
+    The deepest nodes are numbered in pre-order over `forest.kids`, the
+    canonical child order, so a given rng draw always drops the same node.
+    The tree must have a child.
     """
-    # Pre-order walk: (depth, index of the parent) of every node.
-    order: list[tuple[int, int]] = []
-    stack = [(tree, 0, -1)]
+    # Pre-order walk: (id, depth, index of the parent) of every node.
+    order: list[tuple[int, int, int]] = []
+    stack = [(tid, 0, -1)]
     while stack:
-        node, d, parent = stack.pop()
-        stack.extend((c, d + 1, len(order)) for c in reversed(node.children))
-        order.append((d, parent))
-    target = max(d for d, _ in order)
-    deepest = [i for i, (d, _) in enumerate(order) if d == target]
-    dropped = deepest[rng.randrange(len(deepest))]
-    # Every child comes after its parent in pre-order, so interning in
-    # reverse sees all of a node's kept children before the node itself.
-    forest = Forest()
-    kids: list[list[int]] = [[] for _ in order]
-    for i in range(len(order) - 1, 0, -1):
-        if i != dropped:
-            kids[order[i][1]].append(forest.node(kids[i]))
-    return forest.tree(forest.node(kids[0]))
+        t, d, parent = stack.pop()
+        stack.extend((c, d + 1, len(order)) for c in reversed(forest.kids[t]))
+        order.append((t, d, parent))
+    deepest = [i for i, (_, d, _) in enumerate(order) if d == forest.depths[tid]]
+    i = deepest[rng.randrange(len(deepest))]
+    # Only the dropped node's ancestors change; rebuild them bottom-up, each
+    # with one copy of the old child replaced by the new one (none at first).
+    new: list[int] = []
+    while i > 0:
+        t, _, parent = order[i]
+        kids = list(forest.kids[order[parent][0]])
+        kids.remove(t)
+        new = [forest.node(kids + new)]
+        i = parent
+    return new[0]
+
+
+def _mutate(forest: Forest, roots: Sequence[int], rng: random.Random) -> list[int]:
+    """:func:`mutate_collection` on root ids in `forest`."""
+    out = list(roots)
+    n = len(out)
+    ops = []
+    if len(set(out)) >= 2:
+        ops.append("reassign")
+    if n >= 2:
+        ops.append("duplicate")
+    if any(forest.kids[t] for t in out):
+        ops.append("drop_leaf")
+    if not ops:
+        return out
+    op = rng.choice(ops)
+    if op == "reassign":
+        i = rng.choice([i for i in range(n) if any(t != out[i] for t in out)])
+        j = rng.choice([j for j in range(n) if out[j] != out[i]])
+        out[i] = out[j]
+    elif op == "duplicate":
+        i = rng.randrange(n)
+        j = rng.choice([j for j in range(n) if j != i])
+        out[i] = out[j]
+    else:
+        i = rng.choice([i for i, t in enumerate(out) if forest.kids[t]])
+        out[i] = _drop_deepest_leaf(forest, out[i], rng)
+    return out
 
 
 def mutate_collection(trees: Sequence[RootedTree], rng: random.Random) -> list[RootedTree]:
@@ -119,33 +153,11 @@ def mutate_collection(trees: Sequence[RootedTree], rng: random.Random) -> list[R
     Operators: move one entry to a different isomorphism class already
     present; overwrite one entry with a copy of another; drop one deepest
     leaf from some tree.  Returns an unchanged copy if no operator applies
-    (single-class singleton collections of leaves).
+    (single-class singleton collections of leaves).  Trees come back, and
+    deepest leaves are numbered, in canonical child order.
     """
-    out = list(trees)
-    n = len(out)
-    codes = [canonical_code(t) for t in out]
-    ops = []
-    if len(set(codes)) >= 2:
-        ops.append("reassign")
-    if n >= 2:
-        ops.append("duplicate")
-    if any(t.children for t in out):
-        ops.append("drop_leaf")
-    if not ops:
-        return out
-    op = rng.choice(ops)
-    if op == "reassign":
-        i = rng.choice([i for i in range(n) if any(c != codes[i] for c in codes)])
-        j = rng.choice([j for j in range(n) if codes[j] != codes[i]])
-        out[i] = out[j]
-    elif op == "duplicate":
-        i = rng.randrange(n)
-        j = rng.choice([j for j in range(n) if j != i])
-        out[i] = out[j]
-    else:
-        i = rng.choice([i for i, t in enumerate(out) if t.children])
-        out[i] = _drop_deepest_leaf(out[i], rng)
-    return out
+    forest = Forest()
+    return [forest.tree(t) for t in _mutate(forest, list(forest.intern(trees)), rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +206,23 @@ class OracleReport:
         }
 
 
-def _pipeline_realizes(trees: Sequence[RootedTree], depth: int) -> tuple[bool, str]:
-    try:
-        graph = realize_neighborhood(trees, depth)
-    except UnicoverError as exc:
-        return False, f"realize raised {type(exc).__name__}: {exc}"
-    if not verify_realization(graph, trees, depth):
-        return False, "realization failed per-index verification"
-    return True, ""
+def _judge(report: OracleReport, forest: Forest, roots: Sequence[int], truth: bool, why: str) -> None:
+    """Count one case; record a verdict other than `truth` (as `why`) or a failed realization."""
+    report.cases_total += 1
+    table = table_from_ids(forest, roots, report.depth)
+    verdict = check_neighborhood(table).graphical
+    detail = why if verdict != truth else ""
+    if verdict and not detail:
+        try:
+            graph = realize_table(table)
+        except UnicoverError as exc:
+            detail = f"realize raised {type(exc).__name__}: {exc}"
+        else:
+            if first_mismatch_in(forest, graph, roots, report.depth) is not None:
+                detail = "realization failed per-index verification"
+    if detail:
+        codes = tuple(forest.codes[t] for t in roots)
+        report.disagreements.append(Disagreement(codes, verdict, truth, detail))
 
 
 def cross_validate(n: int, depth: int, mutants_per_case: int = 3, seed: int = 0) -> OracleReport:
@@ -211,47 +232,22 @@ def cross_validate(n: int, depth: int, mutants_per_case: int = 3, seed: int = 0)
     must check graphical and realize to a graph that verifies per index.
     Negative direction: for each harvest, `mutants_per_case` mutants must get
     the same checker verdict as exhaustive search over all labeled graphs
-    (existence is decided on sorted code tuples, which covers every index
-    assignment because the enumeration covers every labeling); mutants that
-    both sides accept must also realize and verify.
+    (existence is decided on sorted id tuples in the run's one Forest, which
+    covers every index assignment because the enumeration covers every
+    labeling); mutants that both sides accept must also realize and verify.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     rng = random.Random(seed)
     report = OracleReport(n=n, depth=depth)
-    realizable: set[tuple[str, ...]] = set()
-    harvests: list[list[RootedTree]] = []
-
-    for graph in enumerate_graphs(n):
-        trees = neighborhood_collection(graph, depth)
-        codes = tuple(canonical_code(t) for t in trees)
-        harvests.append(trees)
-        realizable.add(tuple(sorted(codes)))
-        report.cases_total += 1
-        verdict = check_neighborhood(build_table(trees, depth)).graphical
-        if not verdict:
-            report.disagreements.append(
-                Disagreement(codes, False, True, "checker rejected a harvested collection")
-            )
-            continue
-        ok, detail = _pipeline_realizes(trees, depth)
-        if not ok:
-            report.disagreements.append(Disagreement(codes, True, True, detail))
-
-    for trees in harvests:
+    forest = Forest()
+    harvests = [ball_ids(forest, graph, depth) for graph in enumerate_graphs(n)]
+    realizable = {tuple(sorted(roots)) for roots in harvests}
+    for roots in harvests:
+        _judge(report, forest, roots, True, "checker rejected a harvested collection")
+    for roots in harvests:
         for _ in range(mutants_per_case):
-            mutant = mutate_collection(trees, rng)
-            codes = tuple(canonical_code(t) for t in mutant)
-            report.cases_total += 1
-            verdict = check_neighborhood(build_table(mutant, depth)).graphical
-            truth = tuple(sorted(codes)) in realizable
-            if verdict != truth:
-                report.disagreements.append(Disagreement(codes, verdict, truth, "mutant"))
-                continue
-            if verdict:
-                ok, detail = _pipeline_realizes(mutant, depth)
-                if not ok:
-                    report.disagreements.append(Disagreement(codes, True, True, detail))
-
+            mutant = _mutate(forest, roots, rng)
+            _judge(report, forest, mutant, tuple(sorted(mutant)) in realizable, "mutant")
     report.agreements = report.cases_total - len(report.disagreements)
     return report

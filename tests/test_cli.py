@@ -167,6 +167,28 @@ def test_selftest_rejects_values_that_run_no_case(capsys):
         assert err.startswith("error: --") and "must be >=" in err, args
 
 
+def test_selftest_rejects_max_n_above_the_brute_force_cap(capsys, monkeypatch):
+    # The cap is checked before any case: n = 7 alone is 2^21 graphs to brute-force.
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cli, "cross_validate", refuse)
+    code, out, err = run(capsys, "selftest", "--max-n", "9", "--depth", "1")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: --max-n must be <= 7, the brute-force cap on graph size\n"
+
+
+def test_neighborhoods_rejects_negative_depth_before_reading_the_graph(tmp_path, capsys):
+    # On the unreadable path, the depth error wins because nothing is read.
+    graph = write(tmp_path / "g.txt", "n=2\n0 1\n")
+    for path in (graph, str(tmp_path / "missing.txt")):
+        code, out, err = run(capsys, "neighborhoods", path, "--depth", "-1")
+        assert (code, out, err) == (2, "", "error: --depth must be >= 0\n"), path
+
+
 def test_each_command_parses_into_one_forest(tmp_path, capsys, monkeypatch):
     rng = random.Random(8)
     graph = random_graph(rng, 12, 0.25)
@@ -196,6 +218,10 @@ def test_each_command_parses_into_one_forest(tmp_path, capsys, monkeypatch):
         made.clear()
         code, _, _ = run(capsys, *argv)
         assert (code, len(made)) == (0, 1), argv
+    # selftest builds one Forest per cross_validate run: n = 0..3 times h = 1, 2.
+    made.clear()
+    code, _, _ = run(capsys, "selftest", "--max-n", "3", "--depth", "2")
+    assert (code, len(made)) == (0, 8)
 
 
 def test_selftest_small(capsys):

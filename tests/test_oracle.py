@@ -13,12 +13,12 @@ from unicover import (
     enumerate_graphs,
     exists_realization_bruteforce,
     mutate_collection,
-    neighborhood_collection,
     parse_tree,
 )
 from unicover.oracle import _drop_deepest_leaf
-from unicover.trees import count_nodes, depth
-from treegen import random_tree
+from unicover.trees import Forest, count_nodes, depth
+from unicover.unfold import ball_ids
+from treegen import random_tree, shuffle_tree
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 8), (4, 64)])
@@ -105,10 +105,27 @@ def test_drop_leaf_removes_exactly_one_node():
 def test_drop_leaf_on_a_deep_ball_does_not_recurse():
     # a root over two 1200-node paths: one path loses its end, the other stays
     triangle = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
-    ball = neighborhood_collection(triangle, 1200)[0]
-    mutant = _drop_deepest_leaf(ball, random.Random(0))
-    assert count_nodes(mutant) == count_nodes(ball) - 1 == 2400
-    assert canonical_code(mutant) == "(" + "(" * 1199 + ")" * 1199 + "(" * 1200 + ")" * 1200 + ")"
+    forest = Forest()
+    ball = ball_ids(forest, triangle, 1200)[0]
+    mutant = _drop_deepest_leaf(forest, ball, random.Random(0))
+    assert count_nodes(forest.tree(mutant)) == count_nodes(forest.tree(ball)) - 1 == 2400
+    assert forest.codes[mutant] == "(" + "(" * 1199 + ")" * 1199 + "(" * 1200 + ")" * 1200 + ")"
+
+
+def test_mutants_do_not_depend_on_the_stored_child_order():
+    # Deepest leaves are numbered in canonical child order, so shuffling the
+    # children of the input must not change which leaf a draw drops.
+    rng = random.Random(12)
+    drops = 0
+    for seed in range(200):
+        drawn = [random_tree(rng, max_nodes=12) for _ in range(rng.randrange(1, 4))]
+        canon = [parse_tree(canonical_code(t)) for t in drawn]
+        shuffled = [shuffle_tree(t, rng) for t in canon]
+        want = [canonical_code(t) for t in mutate_collection(canon, random.Random(seed))]
+        assert [canonical_code(t) for t in mutate_collection(shuffled, random.Random(seed))] == want
+        # Only a dropped leaf makes a code the input does not have.
+        drops += not set(want) <= {canonical_code(t) for t in canon}
+    assert drops > 0
 
 
 def test_cross_validate_small_sizes_are_clean():

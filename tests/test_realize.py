@@ -8,6 +8,7 @@ import pytest
 from unicover import (
     Digraph,
     EdgeType,
+    InternalInfeasible,
     NotGraphical,
     SimpleGraph,
     SimplicityViolation,
@@ -26,7 +27,7 @@ from unicover import (
 )
 import unicover.realize
 from reference import havel_hakimi_dense, kleitman_wang_dense
-from treegen import path_graph, random_graph
+from treegen import hub_pairs, path_graph, random_graph, star_and_head_degrees
 
 DIAG = EdgeType("()", "()")
 DIAG2 = EdgeType("(())", "(())")
@@ -221,6 +222,56 @@ def test_heap_realizers_match_the_dense_reference():
         assert havel_hakimi(seq).edges == havel_hakimi_dense(seq).edges, seq
     for pairs in bisequences:
         assert kleitman_wang(pairs).arcs == kleitman_wang_dense(pairs).arcs, pairs
+
+
+def _realized_or_none(realizer, refusal, *args):
+    try:
+        return realizer(*args)
+    except refusal:
+        return None
+
+
+def test_realizers_agree_with_networkx_at_scale():
+    # Each sequence is a random graph's, the same with one unit bumped or
+    # moved, or a family at the feasibility boundary; both sides must realize
+    # it or both refuse, and every realization must have exactly its degrees.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    outcomes, directed_outcomes = set(), set()
+    for n in (1000, 10_000):
+        for _ in range(2):
+            g = nx.gnm_random_graph(n, 2 * n, seed=rng.randrange(10**6))
+            degrees = [d for _, d in g.degree()]
+            bumped = list(degrees)
+            bumped[rng.randrange(n)] += 1
+            for seq in (degrees, bumped, star_and_head_degrees(rng, n)):
+                ours = _realized_or_none(havel_hakimi, InternalInfeasible, seq)
+                theirs = _realized_or_none(nx.havel_hakimi_graph, nx.NetworkXError, seq)
+                assert (ours is None) == (theirs is None)
+                if ours is not None:
+                    assert list(ours.degree_sequence()) == seq
+                    # networkx numbers only the positive entries, in order, from 0.
+                    positive = [d for d in seq if d > 0]
+                    assert [theirs.degree(v) for v in range(n)] == positive + [0] * (n - len(positive))
+                    assert nx.number_of_selfloops(theirs) == 0
+                outcomes.add(ours is not None)
+            d = nx.gnm_random_graph(n, 2 * n, seed=rng.randrange(10**6), directed=True)
+            pairs = [(d.out_degree(v), d.in_degree(v)) for v in range(n)]
+            moved = list(pairs)
+            v, w = rng.sample(range(n), 2)
+            moved[v], moved[w] = (moved[v][0], moved[v][1] + 1), (moved[w][0], max(0, moved[w][1] - 1))
+            for seq in (pairs, moved, hub_pairs(rng, n)):
+                ours = _realized_or_none(kleitman_wang, InternalInfeasible, seq)
+                theirs = _realized_or_none(
+                    nx.directed_havel_hakimi_graph, nx.NetworkXError, [b for _, b in seq], [a for a, _ in seq]
+                )
+                assert (ours is None) == (theirs is None)
+                if ours is not None:
+                    assert list(ours.bidegree_sequence()) == seq
+                    assert [(theirs.out_degree(v), theirs.in_degree(v)) for v in range(n)] == seq
+                    assert nx.number_of_selfloops(theirs) == 0
+                directed_outcomes.add(ours is not None)
+    assert outcomes == directed_outcomes == {True, False}
 
 
 def test_realizers_run_once_per_type_on_its_support(monkeypatch):

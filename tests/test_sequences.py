@@ -21,7 +21,7 @@ from unicover import (
     verify_realization,
 )
 from reference import first_directed_violation, first_subsum_violation
-from treegen import cycle_graph, random_graph
+from treegen import cycle_graph, hub_pairs, random_graph, star_and_head_degrees
 from unicover.sequences import _first_directed_violation, _first_subsum_violation
 
 
@@ -283,34 +283,6 @@ def test_subsum_scans_match_the_quadratic_reference_exhaustively():
             assert _first_directed_violation(pairs) == want, pairs
 
 
-def _star_and_head_degrees(rng: random.Random, n: int) -> list[int]:
-    """n entries: a head of h equal degrees around the largest that a tail of 1s and 2s allows."""
-    h = rng.randrange(2, 60)
-    tail = [rng.choice((1, 1, 2)) for _ in range(n - h)]
-    bound = (h * (h - 1) + sum(min(d, h) for d in tail)) // h
-    head = bound + rng.randrange(-2, 3)
-    degrees = [head] * h + tail
-    if sum(degrees) % 2:
-        degrees[-1] = 3 - degrees[-1]
-    rng.shuffle(degrees)
-    return degrees
-
-
-def _hub_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
-    """One hub whose out-degree is about the number of vertices that can take an arc."""
-    h = rng.randrange(20, 200)
-    per_head = rng.randrange(1, 40)
-    inn = [per_head] * h + [0] * (n - h)
-    hub = rng.randrange(h - 1, h + 2)
-    spread = h * per_head - hub
-    out = [hub] + [1] * spread + [0] * (n - 1 - spread)
-    hub_at = rng.choice((0, h))  # the hub is one of the heads, or just past them
-    out[0], out[hub_at] = out[hub_at], out[0]
-    pairs = list(zip(out, inn))
-    rng.shuffle(pairs)
-    return pairs
-
-
 def test_sequence_tests_agree_with_networkx_at_scale():
     nx = pytest.importorskip("networkx")
     rng = random.Random(77)
@@ -318,14 +290,14 @@ def test_sequence_tests_agree_with_networkx_at_scale():
     for n in (1000, 3000, 10_000):
         for _ in range(4):
             g = nx.gnm_random_graph(n, 2 * n, seed=rng.randrange(10**6))
-            for degrees in ([d for _, d in g.degree()], _star_and_head_degrees(rng, n)):
+            for degrees in ([d for _, d in g.degree()], star_and_head_degrees(rng, n)):
                 ok, _ = erdos_gallai(degrees)
                 assert ok == nx.is_graphical(degrees)
                 verdicts.add(ok)
             d = nx.gnm_random_graph(n, 2 * n, seed=rng.randrange(10**6), directed=True)
             for pairs in (
                 [(d.out_degree(v), d.in_degree(v)) for v in d],
-                _hub_pairs(rng, n),
+                hub_pairs(rng, n),
             ):
                 ok, _ = fulkerson_chen_anstee(pairs)
                 assert ok == nx.is_digraphical([b for _, b in pairs], [a for a, _ in pairs])

@@ -63,3 +63,31 @@ def regular_tree_ball_code(d: int, radius: int) -> str:
     if radius == 0:
         return "()"
     return "(" + branch(radius - 1) * d + ")"
+
+
+def star_and_head_degrees(rng: random.Random, n: int) -> list[int]:
+    """n entries: a head of h equal degrees around the largest that a tail of 1s and 2s allows."""
+    h = rng.randrange(2, 60)
+    tail = [rng.choice((1, 1, 2)) for _ in range(n - h)]
+    bound = (h * (h - 1) + sum(min(d, h) for d in tail)) // h
+    head = bound + rng.randrange(-2, 3)
+    degrees = [head] * h + tail
+    if sum(degrees) % 2:
+        degrees[-1] = 3 - degrees[-1]
+    rng.shuffle(degrees)
+    return degrees
+
+
+def hub_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """One hub whose out-degree is about the number of vertices that can take an arc."""
+    h = rng.randrange(20, 200)
+    per_head = rng.randrange(1, 40)
+    inn = [per_head] * h + [0] * (n - h)
+    hub = rng.randrange(h - 1, h + 2)
+    spread = h * per_head - hub
+    out = [hub] + [1] * spread + [0] * (n - 1 - spread)
+    hub_at = rng.choice((0, h))  # the hub is one of the heads, or just past them
+    out[0], out[hub_at] = out[hub_at], out[0]
+    pairs = list(zip(out, inn))
+    rng.shuffle(pairs)
+    return pairs
