@@ -7,95 +7,38 @@ such a G when one exists, and verifies the construction by unfolding G's
 non-backtracking walks directly.
 """
 
-from .edge_types import EdgeType, TypeClass, TypedDegreeTable, build_table
-from .errors import (
-    DepthError,
-    GraphFormatError,
-    InternalInfeasible,
-    InternalInvariantError,
-    NotGraphical,
-    ParseError,
-    SimplicityViolation,
-    SizeError,
-    UnicoverError,
-)
-from .graphs import Digraph, SimpleGraph, read_graph, to_dot, write_graph
-from .oracle import (
-    Disagreement,
-    OracleReport,
-    cross_validate,
-    enumerate_digraphs,
-    enumerate_graphs,
-    exists_realization_bruteforce,
-    mutate_collection,
-)
-from .realize import EdgeTag, TaggedGraph, glue, havel_hakimi, kleitman_wang, realize_neighborhood
-from .sequences import (
-    FailureKind,
-    FailureRecord,
-    Verdict,
-    check_neighborhood,
-    erdos_gallai,
-    fulkerson_chen_anstee,
-)
-from .trees import (
-    RootedTree,
-    canonical_code,
-    parse_tree,
-    read_collection,
-    truncate,
-    write_collection,
-)
-from .unfold import cover_ball, first_mismatch, neighborhood_collection, verify_realization
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DepthError",
-    "Digraph",
-    "Disagreement",
-    "EdgeTag",
-    "EdgeType",
-    "FailureKind",
-    "FailureRecord",
-    "GraphFormatError",
-    "InternalInfeasible",
-    "InternalInvariantError",
-    "NotGraphical",
-    "OracleReport",
-    "ParseError",
-    "RootedTree",
-    "SimpleGraph",
-    "SimplicityViolation",
-    "SizeError",
-    "TaggedGraph",
-    "TypeClass",
-    "TypedDegreeTable",
-    "UnicoverError",
-    "Verdict",
-    "build_table",
-    "canonical_code",
-    "check_neighborhood",
-    "cover_ball",
-    "cross_validate",
-    "enumerate_digraphs",
-    "enumerate_graphs",
-    "erdos_gallai",
-    "exists_realization_bruteforce",
-    "first_mismatch",
-    "fulkerson_chen_anstee",
-    "glue",
-    "havel_hakimi",
-    "kleitman_wang",
-    "mutate_collection",
-    "neighborhood_collection",
-    "parse_tree",
-    "read_collection",
-    "read_graph",
-    "realize_neighborhood",
-    "to_dot",
-    "truncate",
-    "verify_realization",
-    "write_collection",
-    "write_graph",
-]
+# The home submodule of each export.  A submodule is imported on the first
+# lookup of one of its names (PEP 562), so `import unicover` alone loads
+# none of them and a CLI process loads only what its command uses.
+_HOMES = {
+    "edge_types": "EdgeType TypeClass TypedDegreeTable build_table",
+    "errors": "DepthError GraphFormatError InternalInfeasible InternalInvariantError NotGraphical"
+    " ParseError SimplicityViolation SizeError UnicoverError",
+    "graphs": "Digraph SimpleGraph read_graph to_dot write_graph",
+    "oracle": "Disagreement OracleReport cross_validate enumerate_digraphs enumerate_graphs"
+    " exists_realization_bruteforce mutate_collection",
+    "realize": "EdgeTag TaggedGraph glue havel_hakimi kleitman_wang realize_neighborhood",
+    "sequences": "FailureKind FailureRecord Verdict check_neighborhood erdos_gallai fulkerson_chen_anstee",
+    "trees": "RootedTree canonical_code parse_tree read_collection truncate write_collection",
+    "unfold": "cover_ball first_mismatch neighborhood_collection verify_realization",
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,10 +15,6 @@ import json
 import sys
 from typing import Sequence
 
-# Not called here; perfbench/tracer.py wraps these names in this module.
-from . import (  # noqa: F401
-    build_table, canonical_code as serialize, first_mismatch, neighborhood_collection, realize_neighborhood
-)
 from .edge_types import table_from_ids
 from .errors import (
     DepthError,
@@ -30,21 +26,38 @@ from .errors import (
     UnicoverError,
 )
 from .graphs import read_graph, to_dot, write_graph
-from .oracle import MAX_GRAPH_VERTICES, cross_validate
 from .realize import realize_table
 from .sequences import check_neighborhood
 from .trees import Forest, iter_collection
 from .unfold import ball_ids, first_mismatch_in
 
+# Not called here; perfbench/tracer.py wraps these names in this module.
+# They come from their home modules: the package's own exports load lazily.
+from .edge_types import build_table  # noqa: F401
+from .realize import realize_neighborhood  # noqa: F401
+from .trees import canonical_code as serialize  # noqa: F401
+from .unfold import first_mismatch, neighborhood_collection  # noqa: F401
+
 
 def _read_lines(path: str) -> list[str]:
-    if path == "-":
-        return sys.stdin.read().splitlines()
+    """Lines of the UTF-8 text in file `path`, or on stdin for '-'."""
+    name = "stdin" if path == "-" else path
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read().splitlines()
+        if path != "-":
+            with open(path, "rb") as handle:
+                data = handle.read()
+        elif hasattr(sys.stdin, "buffer"):
+            # The bytes, so undecodable input fails here whatever stdin's error handler.
+            data = sys.stdin.buffer.read()
+        else:  # a text-only stream such as io.StringIO
+            return sys.stdin.read().splitlines()
+        return data.decode("utf-8").splitlines()
     except OSError as exc:
-        raise UnicoverError(f"cannot read {path}: {exc.strerror}") from None
+        raise UnicoverError(f"cannot read {name}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UnicoverError(
+            f"cannot read {name}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+        ) from None
 
 
 class _Output:
@@ -146,6 +159,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    # The brute-force oracle is imported here, so no other command loads it.
+    from .oracle import MAX_GRAPH_VERTICES, cross_validate
+
     # Smaller values would run no case at all and pass vacuously.
     if args.max_n < 0 or args.depth < 1 or args.mutants_per_case < 0:
         raise UnicoverError("--max-n and --mutants-per-case must be >= 0, --depth >= 1")

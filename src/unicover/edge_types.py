@@ -20,12 +20,11 @@ to the number n of trees.  Dense length-n vectors are built on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DepthError
-from .trees import CanonCode, Forest, RootedTree, code_sort_key
+from .trees import CanonCode, Forest, FrozenSlots, RootedTree, code_sort_key
 
 __all__ = [
     "TypeClass",
@@ -44,8 +43,7 @@ class TypeClass(str, Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
-class EdgeType:
+class EdgeType(NamedTuple):
     """Isomorphism type of a root-incident edge.
 
     `near` is the canonical code of the component containing the root after
@@ -89,8 +87,7 @@ def _edge_pairs(forest: Forest, child_ids: Sequence[int], depth: int) -> list[tu
     return [(near[c], c) for c in child_ids]
 
 
-@dataclass(frozen=True, eq=False)
-class TypedDegreeTable:
+class TypedDegreeTable(FrozenSlots):
     """Per-vertex, per-type counts of root-incident edges.
 
     `supports` maps each occurring type, in sort order, to its support: the
@@ -104,15 +101,25 @@ class TypedDegreeTable:
     `(rep, vertices, counts)` per inverse pair: its A-class member, the
     vertices where either member occurs (ascending), and their (out, in)
     counts, out being `rep`'s count and in its inverse's.
+
+    Immutable (see :class:`~unicover.trees.FrozenSlots`); tables compare
+    and hash by identity.
     """
 
-    n: int
-    depth: int
-    supports: dict[EdgeType, tuple[tuple[int, int], ...]]
-    totals: dict[EdgeType, int]
-    degree_seq: tuple[int, ...]
-    diagonal: tuple[EdgeType, ...]
-    pairs: tuple[tuple[EdgeType, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
+    __slots__ = ("n", "depth", "supports", "totals", "degree_seq", "diagonal", "pairs")
+
+    def __init__(
+        self,
+        n: int,
+        depth: int,
+        supports: dict[EdgeType, tuple[tuple[int, int], ...]],
+        totals: dict[EdgeType, int],
+        degree_seq: tuple[int, ...],
+        diagonal: tuple[EdgeType, ...],
+        pairs: tuple[tuple[EdgeType, tuple[int, ...], tuple[tuple[int, int], ...]], ...],
+    ) -> None:
+        for name, value in zip(self.__slots__, (n, depth, supports, totals, degree_seq, diagonal, pairs)):
+            object.__setattr__(self, name, value)
 
     def occurring_types(self) -> list[EdgeType]:
         """All types with at least one edge, in deterministic order."""

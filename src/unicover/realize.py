@@ -15,7 +15,6 @@ with m edges costs O((s + m) log s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Mapping, NamedTuple, Sequence
 
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EdgeTag:
+class EdgeTag(NamedTuple):
     """Provenance of a glued edge: its type and, for A-class parts, the tail.
 
     `tail` is the endpoint that sees `etype`; the other endpoint sees the

@@ -15,10 +15,9 @@ sort), so a whole table costs about the sum of its supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .edge_types import EdgeType, TypedDegreeTable
 
@@ -39,8 +38,7 @@ class FailureKind(str, Enum):
     DIRECTED_EG_VIOLATION = "DirectedEGViolation"
 
 
-@dataclass(frozen=True)
-class FailureRecord:
+class FailureRecord(NamedTuple):
     """One failed condition; `type_key` is None for global failures."""
 
     type_key: EdgeType | None
@@ -56,8 +54,7 @@ class FailureRecord:
         return {"type": key, "kind": self.kind.value, "k": self.witness_k}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of :func:`check_neighborhood`; graphical iff no failures."""
 
     graphical: bool

@@ -14,12 +14,12 @@ order, and equal subtrees are one shared :class:`RootedTree` object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .errors import ParseError
 
 __all__ = [
+    "FrozenSlots",
     "RootedTree",
     "CanonCode",
     "Forest",
@@ -38,17 +38,43 @@ __all__ = [
 CanonCode = str
 
 
-@dataclass(frozen=True, eq=False)
-class RootedTree:
-    """Unlabeled rooted tree; the storage order of `children` carries no meaning.
+class FrozenSlots:
+    """Base of immutable records: each `__slots__` field is set once, in `__init__`.
 
-    Equality and hashing are structural (order-sensitive); use canonical
-    codes to compare trees up to isomorphism.  Both walk the trees with an
-    explicit stack, once per distinct pair or object, so depth is bounded
-    only by memory.
+    `__init__` stores through `object.__setattr__`; afterwards assigning or
+    deleting any attribute raises AttributeError.  `copy` and `pickle`
+    rebuild a record by calling its class on its fields in slot order.
     """
 
-    children: tuple["RootedTree", ...] = ()
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), tuple([getattr(self, name) for name in self.__slots__]))
+
+
+class RootedTree(FrozenSlots):
+    """Unlabeled rooted tree; the storage order of `children` carries no meaning.
+
+    Immutable (see :class:`FrozenSlots`).  Equality and hashing are
+    structural (order-sensitive); use canonical codes to compare trees up
+    to isomorphism.  Both walk the trees with an explicit stack, once per
+    distinct pair or object, so depth is bounded only by memory.
+    """
+
+    __slots__ = ("children",)
+    children: tuple[RootedTree, ...]
+
+    def __init__(self, children: tuple[RootedTree, ...] = ()) -> None:
+        object.__setattr__(self, "children", children)
+
+    def __repr__(self) -> str:
+        return f"RootedTree(children={self.children!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootedTree):

@@ -1,12 +1,17 @@
-"""Design rules checked on the source and the docs rather than on behaviour."""
+"""Design rules checked on the source, the docs and the exported records."""
 
 from __future__ import annotations
 
 import ast
+import copy
+import pickle
 import re
 from pathlib import Path
 
+import pytest
+
 import unicover
+from unicover import EdgeTag, EdgeType, FailureKind, FailureRecord, Verdict, build_table, parse_tree
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "unicover").glob("*.py"))
@@ -69,3 +74,48 @@ def test_readme_library_names_every_export():
 def test_readme_library_example_uses_only_exports():
     used = set(re.findall(r"\buc\.(\w+)", _library_section()))
     assert used and used <= set(unicover.__all__)
+
+
+def test_records_are_immutable():
+    # README: "All values are immutable after construction".
+    diag = EdgeType("()", "()")
+    table = build_table([parse_tree("(())")] * 2, 1)
+    records = [
+        (parse_tree("(())"), "children"),
+        (diag, "near"),
+        (table, "supports"),
+        (FailureRecord(diag, FailureKind.ODD_DIAGONAL_SUM), "witness_k"),
+        (Verdict(True), "failures"),
+        (EdgeTag(diag, None), "tail"),
+    ]
+    for record, field in records:
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+
+def test_records_copy_and_pickle():
+    tree = parse_tree("(()(()))")
+    table = build_table([tree, parse_tree("(())"), parse_tree("()"), parse_tree("(())")], 2)
+    for clone in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        assert clone(tree) == tree
+        twin = clone(table)
+        assert [getattr(twin, name) for name in table.__slots__] == [
+            getattr(table, name) for name in table.__slots__
+        ]
+
+
+def test_tables_compare_and_hash_by_identity():
+    trees = [parse_tree("(())")] * 2
+    first, second = build_table(trees, 1), build_table(trees, 1)
+    assert first == first and first != second
+    assert hash(first) == object.__hash__(first)
+    assert len({first, second}) == 2
+
+
+def test_named_tuple_records_keep_their_repr_and_compare_as_tuples():
+    assert repr(EdgeType("()", "(())")) == "EdgeType(near='()', far='(())')"
+    assert EdgeType("()", "(())") == ("()", "(())")
+    assert Verdict(True) == (True, ())

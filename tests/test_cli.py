@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from unicover import cli, graphs, trees
+from unicover import cli, graphs, oracle, trees
 from unicover.cli import main
 from treegen import cycle_graph, random_graph
 
@@ -64,6 +64,39 @@ def test_check_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("(())\n(())\n"))
     code, out, _ = run(capsys, "check", "-")
     assert code == 0 and json.loads(out)["graphical"]
+
+
+def test_non_utf8_tree_file_names_the_file_and_offset(tmp_path, capsys):
+    bad = tmp_path / "t.txt"
+    bad.write_bytes(b"(())\n(\xff)\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {bad}: not UTF-8 text (byte 0xff at offset 6)\n"
+
+
+def test_crlf_tree_file_reads_like_lf(tmp_path, capsys):
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(b"((())(()))\n" * 4)
+    crlf.write_bytes(b"((())(()))\r\n" * 4)
+    assert run(capsys, "check", str(crlf), "--explain") == run(capsys, "check", str(lf), "--explain")
+
+
+def test_non_utf8_graph_file_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "g.txt"
+    bad.write_bytes(b"n=2\n0 \xfe1\n")
+    code, out, err = run(capsys, "neighborhoods", str(bad), "--depth", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {bad}: not UTF-8 text (byte 0xfe at offset 6)\n"
+
+
+def test_non_utf8_stdin_is_named_stdin(capsys, monkeypatch):
+    # A real stdin may decode with surrogateescape (as in UTF-8 mode); the
+    # bytes are decoded strictly all the same.
+    stdin = io.TextIOWrapper(io.BytesIO(b"(())\n\xff\n"), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "check", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read stdin: not UTF-8 text (byte 0xff at offset 5)\n"
 
 
 def test_check_parse_error_names_line(tmp_path, capsys):
@@ -175,7 +208,8 @@ def test_selftest_rejects_max_n_above_the_brute_force_cap(capsys, monkeypatch):
         calls.append(args)
         raise AssertionError("a case ran")
 
-    monkeypatch.setattr(cli, "cross_validate", refuse)
+    # cli imports the oracle inside cmd_selftest, so patch it at home.
+    monkeypatch.setattr(oracle, "cross_validate", refuse)
     code, out, err = run(capsys, "selftest", "--max-n", "9", "--depth", "1")
     assert (code, out, calls) == (2, "", [])
     assert err == "error: --max-n must be <= 7, the brute-force cap on graph size\n"
