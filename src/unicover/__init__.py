@@ -21,7 +21,7 @@ _HOMES = {
     "graphs": "Digraph SimpleGraph read_graph to_dot write_graph",
     "oracle": "Disagreement OracleReport cross_validate enumerate_digraphs enumerate_graphs"
     " exists_realization_bruteforce mutate_collection",
-    "realize": "EdgeTag TaggedGraph glue havel_hakimi kleitman_wang realize_neighborhood",
+    "realize": "glue havel_hakimi kleitman_wang realize_neighborhood",
     "sequences": "FailureKind FailureRecord Verdict check_neighborhood erdos_gallai fulkerson_chen_anstee",
     "trees": "RootedTree canonical_code parse_tree read_collection truncate write_collection",
     "unfold": "cover_ball first_mismatch neighborhood_collection verify_realization",

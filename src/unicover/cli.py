@@ -39,6 +39,12 @@ from .trees import canonical_code as serialize  # noqa: F401
 from .unfold import first_mismatch, neighborhood_collection  # noqa: F401
 
 
+def _split_lines(text: str) -> list[str]:
+    """Lines broken at LF, CRLF and CR only, as in a text-mode file (not at form feeds, U+2028, ...)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def _read_lines(path: str) -> list[str]:
     """Lines of the UTF-8 text in file `path`, or on stdin for '-'."""
     name = "stdin" if path == "-" else path
@@ -50,8 +56,8 @@ def _read_lines(path: str) -> list[str]:
             # The bytes, so undecodable input fails here whatever stdin's error handler.
             data = sys.stdin.buffer.read()
         else:  # a text-only stream such as io.StringIO
-            return sys.stdin.read().splitlines()
-        return data.decode("utf-8").splitlines()
+            return _split_lines(sys.stdin.read())
+        return _split_lines(data.decode("utf-8"))
     except OSError as exc:
         raise UnicoverError(f"cannot read {name}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

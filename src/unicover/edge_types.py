@@ -92,8 +92,7 @@ class TypedDegreeTable(FrozenSlots):
 
     `supports` maps each occurring type, in sort order, to its support: the
     `(vertex, count)` pairs with a nonzero count, in vertex order.  `totals`
-    holds the count sums; `degree_seq` is the plain root-degree sequence
-    (the row sums over types).  The dense length-`n` vectors (`degrees`,
+    holds the count sums.  The dense length-`n` vectors (`degrees`,
     :meth:`degree_vector`) are built on request only.
 
     The plan that the check and the realizer follow, both parts in sort
@@ -106,7 +105,7 @@ class TypedDegreeTable(FrozenSlots):
     and hash by identity.
     """
 
-    __slots__ = ("n", "depth", "supports", "totals", "degree_seq", "diagonal", "pairs")
+    __slots__ = ("n", "depth", "supports", "totals", "diagonal", "pairs")
 
     def __init__(
         self,
@@ -114,11 +113,10 @@ class TypedDegreeTable(FrozenSlots):
         depth: int,
         supports: dict[EdgeType, tuple[tuple[int, int], ...]],
         totals: dict[EdgeType, int],
-        degree_seq: tuple[int, ...],
         diagonal: tuple[EdgeType, ...],
         pairs: tuple[tuple[EdgeType, tuple[int, ...], tuple[tuple[int, int], ...]], ...],
     ) -> None:
-        for name, value in zip(self.__slots__, (n, depth, supports, totals, degree_seq, diagonal, pairs)):
+        for name, value in zip(self.__slots__, (n, depth, supports, totals, diagonal, pairs)):
             object.__setattr__(self, name, value)
 
     def occurring_types(self) -> list[EdgeType]:
@@ -210,5 +208,4 @@ def table_from_ids(forest: Forest, roots: Sequence[int], depth: int) -> TypedDeg
         vertices = tuple(sorted(out.keys() | inn.keys()))
         rep = etypes.get((near, far)) or EdgeType(near=codes[near], far=codes[far])
         pairs.append((rep, vertices, tuple((out.get(v, 0), inn.get(v, 0)) for v in vertices)))
-    degree_seq = tuple(len(forest.kids[t]) for t in roots)
-    return TypedDegreeTable(len(roots), depth, supports, totals, degree_seq, diagonal, tuple(pairs))
+    return TypedDegreeTable(len(roots), depth, supports, totals, diagonal, tuple(pairs))

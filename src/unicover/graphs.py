@@ -112,12 +112,20 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={list(self.arcs)})"
 
 
+def _integer(word: str) -> int:
+    """`int(word)` for an ASCII `-?[0-9]+` word only; ValueError for anything else."""
+    if not (word.isascii() and word.removeprefix("-").isdigit()):
+        raise ValueError(word)
+    return int(word)
+
+
 def read_graph(lines: Iterable[str]) -> SimpleGraph:
     """Parse the edge-list format; raises GraphFormatError with line numbers.
 
-    The header must give 0 <= n <= MAX_VERTICES.  Each edge line is checked
-    on its own (range, loop, repeat of an earlier line), and the graph is
-    built once at the end.
+    Counts and endpoints are ASCII `-?[0-9]+` words (no '+', '_' or other
+    digits).  The header must give 0 <= n <= MAX_VERTICES.  Each edge line
+    is checked on its own (range, loop, repeat of an earlier line), and the
+    graph is built once at the end.
     """
     n: int | None = None
     seen: set[tuple[int, int]] = set()
@@ -129,7 +137,7 @@ def read_graph(lines: Iterable[str]) -> SimpleGraph:
             if not line.startswith("n="):
                 raise GraphFormatError(f"line {lineno}: expected 'n=<count>' header")
             try:
-                n = int(line[2:])
+                n = _integer(line[2:])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad vertex count {line[2:]!r}") from None
             if n < 0:
@@ -143,7 +151,7 @@ def read_graph(lines: Iterable[str]) -> SimpleGraph:
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer endpoint in {line!r}") from None
         if not (0 <= u < n and 0 <= v < n):

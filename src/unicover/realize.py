@@ -9,46 +9,30 @@ during gluing is treated as an internal bug, never as bad input.
 Both realizers are deterministic greedies; identical inputs produce
 identical edge lists byte for byte.  :func:`realize_table` runs them along
 a checked table's plan, each type on its support alone, relabelled in
-vertex order, and :func:`glue` maps the parts back; a support of s vertices
-with m edges costs O((s + m) log s).
+vertex order; a support of s vertices with m edges costs O((s + m) log s).
+:func:`glue` takes the parts in plan order, maps them back through the
+plan's vertices and checks each against the table once, in time linear in
+its support and edges.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Mapping, NamedTuple, Sequence
+from typing import Sequence
 
-from .edge_types import EdgeType, TypeClass, TypedDegreeTable, build_table
+from .edge_types import EdgeType, TypedDegreeTable, build_table
 from .errors import InternalInfeasible, InternalInvariantError, NotGraphical, SimplicityViolation
 from .graphs import Digraph, SimpleGraph
 from .sequences import check_neighborhood
 from .trees import RootedTree
 
 __all__ = [
-    "EdgeTag",
-    "TaggedGraph",
     "havel_hakimi",
     "kleitman_wang",
     "glue",
     "realize_neighborhood",
     "realize_table",
 ]
-
-
-class EdgeTag(NamedTuple):
-    """Provenance of a glued edge: its type and, for A-class parts, the tail.
-
-    `tail` is the endpoint that sees `etype`; the other endpoint sees the
-    inverse.  Diagonal edges look the same from both ends, so tail is None.
-    """
-
-    etype: EdgeType
-    tail: int | None
-
-
-class TaggedGraph(NamedTuple):
-    graph: SimpleGraph
-    tags: dict[tuple[int, int], EdgeTag]
 
 
 def havel_hakimi(degrees: Sequence[int]) -> SimpleGraph:
@@ -153,83 +137,61 @@ def kleitman_wang(pairs: Sequence[tuple[int, int]]) -> Digraph:
     return digraph
 
 
-def glue(
-    parts: Mapping[EdgeType, tuple[Sequence[int], SimpleGraph | Digraph]], n: int
-) -> TaggedGraph:
-    """Union per-type edge sets into one simple graph on n vertices, with provenance tags.
+def glue(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) -> SimpleGraph:
+    """Union the parts realized along `table`'s plan into one simple graph on `table.n` vertices.
 
-    Each part comes with the ascending list of the vertices it was realized
-    on: part vertex j is vertex `vertices[j]` of the union.  Diagonal keys
-    must map to SimpleGraph parts and A-class keys to Digraph parts (arc
-    directions are forgotten in the union).  If two parts contribute the
-    same vertex pair, or one digraph part contains both directions of a
-    pair, SimplicityViolation is raised: that cannot happen for parts
-    realized from a checked table, so it indicates a bug.
+    `parts` follows the plan: one SimpleGraph per `table.diagonal` type, then
+    one Digraph per `table.pairs` entry, each on that entry's vertices (part
+    vertex j is the j-th); arc directions are forgotten.  A wrong part count,
+    kind or size raises ValueError.  Parts realized from a checked table
+    never trip the other checks, so each indicates a bug: a vertex pair given
+    twice (by two parts, or by both arcs of one Digraph part) raises
+    SimplicityViolation; plan vertices that do not ascend within 0..n-1, a
+    part whose (bi)degrees differ from `table.supports` (a pair's (out, in)
+    being its rep's count and its inverse's), a plan entry of the wrong kind
+    for its type, or a type that no plan entry covers raise
+    InternalInvariantError.
     """
-    items = sorted(parts.items(), key=lambda kv: kv[0].sort_key())
-    for etype, (vertices, part) in items:
-        if part.n != len(vertices):
-            raise ValueError(
-                f"part of type ({etype.near},{etype.far}) has {part.n} vertices "
-                f"but {len(vertices)} labels"
-            )
-        ascending = all(u < v for u, v in zip(vertices, vertices[1:]))
-        if not ascending or (vertices and not (vertices[0] >= 0 and vertices[-1] < n)):
-            raise ValueError(
-                f"labels of type ({etype.near},{etype.far}) must ascend within 0..{n - 1}"
-            )
-
-    tags: dict[tuple[int, int], EdgeTag] = {}
-
-    def add(key: tuple[int, int], tag: EdgeTag) -> None:
-        clash = tags.get(key)
-        if clash is not None:
-            raise SimplicityViolation(
-                f"pair {key} contributed by type ({clash.etype.near},{clash.etype.far}) "
-                f"and again by ({tag.etype.near},{tag.etype.far})"
-            )
-        tags[key] = tag
-
-    for etype, (vertices, part) in items:
-        if etype.klass is TypeClass.DIAGONAL:
-            if not isinstance(part, SimpleGraph):
-                raise ValueError(f"diagonal type {etype} needs a SimpleGraph part")
-            # Ascending labels keep u < v.
-            for u, v in part.edges:
-                add((vertices[u], vertices[v]), EdgeTag(etype, None))
-        elif etype.klass is TypeClass.A:
-            if not isinstance(part, Digraph):
-                raise ValueError(f"A-class type {etype} needs a Digraph part")
-            for u, v in part.arcs:
-                u, v = vertices[u], vertices[v]
-                add((u, v) if u < v else (v, u), EdgeTag(etype, u))
+    supports, n = table.supports, table.n
+    plan = [(etype, [v for v, _ in supports.get(etype, ())], SimpleGraph) for etype in table.diagonal]
+    plan += [(rep, vertices, Digraph) for rep, vertices, _ in table.pairs]
+    if len(parts) != len(plan):
+        raise ValueError(f"the plan has {len(plan)} entries but {len(parts)} parts were given")
+    covered = set(table.diagonal)
+    owner: dict[tuple[int, int], EdgeType] = {}
+    for (etype, vertices, kind), part in zip(plan, parts):
+        name = f"({etype.near},{etype.far})"
+        if not isinstance(part, kind) or part.n != len(vertices):
+            raise ValueError(f"type {name} needs a {kind.__name__} part on {len(vertices)} vertices")
+        if (etype.near == etype.far) != (kind is SimpleGraph):
+            raise InternalInvariantError(f"the plan puts type {name} in the wrong kind of part")
+        if sorted(set(vertices)) != list(vertices) or (vertices and not 0 <= vertices[0] <= vertices[-1] < n):
+            raise InternalInvariantError(f"plan vertices of type {name} must ascend within 0..{n - 1}")
+        if kind is SimpleGraph:
+            got, want = part.degree_sequence(), tuple([c for _, c in supports.get(etype, ())])
+            ends = part.edges
         else:
-            raise ValueError("pass B-class parts as their A-class inverse")
-
-    return TaggedGraph(SimpleGraph(n, tags.keys()), tags)
-
-
-def _check_tags_against_table(tagged: TaggedGraph, table: TypedDegreeTable) -> None:
-    """Every vertex must carry exactly the typed degrees the table prescribes."""
-    counts: dict[tuple[int, EdgeType], int] = {}
-
-    def bump(vertex: int, etype: EdgeType) -> None:
-        counts[(vertex, etype)] = counts.get((vertex, etype), 0) + 1
-
-    for (u, v), tag in tagged.tags.items():
-        if tag.tail is None:
-            bump(u, tag.etype)
-            bump(v, tag.etype)
-        else:
-            head = v if tag.tail == u else u
-            bump(tag.tail, tag.etype)
-            bump(head, tag.etype.inverse())
-
-    want = {
-        (i, etype): d for etype, support in table.supports.items() for i, d in support
-    }
-    if counts != want:
-        raise InternalInvariantError("glued edge tags do not reproduce the typed degrees")
+            inverse = etype.inverse()
+            covered.update((etype, inverse))
+            out, inn = dict(supports.get(etype, ())), dict(supports.get(inverse, ()))
+            want = tuple([(out.pop(v, 0), inn.pop(v, 0)) for v in vertices])
+            # Counts left at vertices off the plan match no part.
+            got = part.bidegree_sequence() if not (out or inn) else None
+            ends = [(u, v) if u < v else (v, u) for u, v in part.arcs]
+        if got != want:
+            raise InternalInvariantError(f"part of type {name} does not have the table's degrees")
+        for u, v in ends:  # ascending plan vertices keep u < v
+            pair = (vertices[u], vertices[v])
+            clash = owner.get(pair)
+            if clash is not None:
+                raise SimplicityViolation(
+                    f"pair {pair} given by type ({clash.near},{clash.far}) and again by {name}"
+                )
+            owner[pair] = etype
+    uncovered = [etype for etype in supports if etype not in covered]
+    if uncovered:
+        raise InternalInvariantError(f"type ({uncovered[0].near},{uncovered[0].far}) is in no plan entry")
+    return SimpleGraph(n, owner)
 
 
 def realize_neighborhood(trees: Sequence[RootedTree], depth: int) -> SimpleGraph:
@@ -251,13 +213,8 @@ def realize_table(table: TypedDegreeTable) -> SimpleGraph:
     """Graph realizing a table that passed :func:`check_neighborhood`, along the table's plan."""
     # Each type is realized on its support alone, relabelled in vertex order,
     # so the lowest-index tie-breaks pick the same edges as on all n vertices.
-    parts: dict[EdgeType, tuple[Sequence[int], SimpleGraph | Digraph]] = {}
-    for etype in table.diagonal:
-        support = table.supports[etype]
-        parts[etype] = ([v for v, _ in support], havel_hakimi([c for _, c in support]))
-    for rep, vertices, pairs in table.pairs:
-        parts[rep] = (vertices, kleitman_wang(pairs))
-
-    tagged = glue(parts, n=table.n)
-    _check_tags_against_table(tagged, table)
-    return tagged.graph
+    parts: list[SimpleGraph | Digraph] = [
+        havel_hakimi([c for _, c in table.supports[etype]]) for etype in table.diagonal
+    ]
+    parts += [kleitman_wang(counts) for _, _, counts in table.pairs]
+    return glue(table, parts)

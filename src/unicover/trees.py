@@ -14,7 +14,7 @@ order, and equal subtrees are one shared :class:`RootedTree` object.
 
 from __future__ import annotations
 
-from typing import IO, Iterable, Iterator
+from typing import IO, Container, Iterable, Iterator
 
 from .errors import ParseError
 
@@ -64,7 +64,9 @@ class RootedTree(FrozenSlots):
     Immutable (see :class:`FrozenSlots`).  Equality and hashing are
     structural (order-sensitive); use canonical codes to compare trees up
     to isomorphism.  Both walk the trees with an explicit stack, once per
-    distinct pair or object, so depth is bounded only by memory.
+    distinct pair or object, so depth is bounded only by memory; so do
+    `repr`, and `copy`/`pickle`, which go through a flat table of rows that
+    keeps the stored child order and the sharing of subtree objects.
     """
 
     __slots__ = ("children",)
@@ -74,7 +76,29 @@ class RootedTree(FrozenSlots):
         object.__setattr__(self, "children", children)
 
     def __repr__(self) -> str:
-        return f"RootedTree(children={self.children!r})"
+        out: list[str] = []
+        stack: list[RootedTree | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append("RootedTree(children=(")
+            stack.append(",))" if len(item.children) == 1 else "))")
+            for j, kid in enumerate(reversed(item.children)):
+                stack += [", ", kid] if j else [kid]
+        return "".join(out)
+
+    def __reduce__(self):
+        # A flat table, so copy and pickle need no recursion: one row per
+        # distinct object, children first, holding its children's rows in
+        # stored order.
+        row: dict[int, int] = {}
+        rows: list[tuple[int, ...]] = []
+        for node in _bottom_up(self, row):
+            row[id(node)] = len(rows)
+            rows.append(tuple([row[id(c)] for c in node.children]))
+        return (_tree_from_rows, (tuple(rows),))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootedTree):
@@ -93,19 +117,33 @@ class RootedTree(FrozenSlots):
 
     def __hash__(self) -> int:
         memo: dict[int, int] = {}
-        stack = [self]
-        while stack:
-            top = stack[-1]
-            if id(top) in memo:
-                stack.pop()
-                continue
-            pending = [c for c in top.children if id(c) not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            memo[id(top)] = hash(tuple([memo[id(c)] for c in top.children]))
+        for node in _bottom_up(self, memo):
+            memo[id(node)] = hash(tuple([memo[id(c)] for c in node.children]))
         return memo[id(self)]
+
+
+def _bottom_up(tree: RootedTree, done: Container[int]) -> Iterator[RootedTree]:
+    """Nodes of `tree` not in `done` (by id), children first, once each; the caller adds each to `done`."""
+    stack = [tree]
+    while stack:
+        top = stack[-1]
+        if id(top) in done:
+            stack.pop()
+            continue
+        pending = [c for c in top.children if id(c) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        yield top
+
+
+def _tree_from_rows(rows: tuple[tuple[int, ...], ...]) -> RootedTree:
+    """Inverse of :meth:`RootedTree.__reduce__`: the tree of the last row."""
+    made: list[RootedTree] = []
+    for kids in rows:
+        made.append(RootedTree(tuple([made[i] for i in kids])))
+    return made[-1]
 
 
 def code_sort_key(code: CanonCode) -> tuple[int, str]:
@@ -210,18 +248,8 @@ class Forest:
         held: list[RootedTree] = []  # keeps every visited object alive while id() keys the memo
         for tree in trees:
             held.append(tree)
-            stack = [tree]
-            while stack:
-                top = stack[-1]
-                if id(top) in memo:
-                    stack.pop()
-                    continue
-                pending = [c for c in top.children if id(c) not in memo]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                stack.pop()
-                memo[id(top)] = self.node([memo[id(c)] for c in top.children])
+            for node in _bottom_up(tree, memo):
+                memo[id(node)] = self.node([memo[id(c)] for c in node.children])
             yield memo[id(tree)]
 
     def truncate(self, tid: int, k: int) -> int:

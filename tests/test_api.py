@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import unicover
-from unicover import EdgeTag, EdgeType, FailureKind, FailureRecord, Verdict, build_table, parse_tree
+from unicover import EdgeType, FailureKind, FailureRecord, Verdict, build_table, parse_tree
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "unicover").glob("*.py"))
@@ -86,7 +86,6 @@ def test_records_are_immutable():
         (table, "supports"),
         (FailureRecord(diag, FailureKind.ODD_DIAGONAL_SUM), "witness_k"),
         (Verdict(True), "failures"),
-        (EdgeTag(diag, None), "tail"),
     ]
     for record, field in records:
         for name in (field, "extra"):

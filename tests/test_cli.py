@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from unicover import cli, graphs, oracle, trees
 from unicover.cli import main
 from treegen import cycle_graph, random_graph
@@ -75,10 +77,53 @@ def test_non_utf8_tree_file_names_the_file_and_offset(tmp_path, capsys):
 
 
 def test_crlf_tree_file_reads_like_lf(tmp_path, capsys):
-    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf, crlf, cr = tmp_path / "lf.txt", tmp_path / "crlf.txt", tmp_path / "cr.txt"
     lf.write_bytes(b"((())(()))\n" * 4)
     crlf.write_bytes(b"((())(()))\r\n" * 4)
+    cr.write_bytes(b"((())(()))\r" * 4)
     assert run(capsys, "check", str(crlf), "--explain") == run(capsys, "check", str(lf), "--explain")
+    assert run(capsys, "check", str(cr), "--explain") == run(capsys, "check", str(lf), "--explain")
+
+
+SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_tree_file_breaks_lines_only_where_the_library_does(tmp_path, capsys):
+    # `str.splitlines` would read each separator as a line break and pass the file.
+    for sep in SEPARATORS:
+        path = write(tmp_path / "t.txt", f"(())\n(()){sep}(())\n")
+        code, out, err = run(capsys, "check", path)
+        assert (code, out) == (2, ""), repr(sep)
+        assert err.startswith("error: line 2: trailing characters"), (repr(sep), err)
+        with open(path, encoding="utf-8") as handle, pytest.raises(trees.ParseError, match="line 2: trailing"):
+            trees.read_collection(handle)
+    path = write(tmp_path / "t.txt", "()\f()\n(((\n")
+    code, _, err = run(capsys, "check", path)
+    assert code == 2 and err.startswith("error: line 1: "), err
+
+
+def test_graph_file_breaks_lines_only_where_the_library_does(tmp_path, capsys):
+    path = write(tmp_path / "g.txt", "n=2\f0 1\n")
+    code, out, err = run(capsys, "neighborhoods", path, "--depth", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1: bad vertex count"), err
+
+
+def test_stdin_breaks_lines_only_where_the_library_does(capsys, monkeypatch):
+    text = "(())\n(())\u2028(())\n"
+    for stdin in (io.StringIO(text), io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")):
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "check", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: trailing characters"), err
+
+
+def test_graph_numbers_are_plain_ascii_digits(tmp_path, capsys):
+    for text, line in [("n=5_0\n", 1), ("n=+3\n", 1), ("n=\u0663\n", 1), ("n=20\n1_0 2\n", 2)]:
+        path = write(tmp_path / "g.txt", text)
+        code, out, err = run(capsys, "neighborhoods", path, "--depth", "1")
+        assert (code, out) == (2, ""), text
+        assert err.startswith(f"error: line {line}: "), err
 
 
 def test_non_utf8_graph_file_names_the_file(tmp_path, capsys):

@@ -64,6 +64,10 @@ def test_read_graph_allows_comments_and_blanks():
         ("n=2\n0 3\n", "out of range"),
         ("n=2\n0 1\n1 0\n", "parallel"),
         ("", "header"),
+        ("n=5_0\n", "line 1: bad vertex count"),
+        ("n=+3\n", "line 1: bad vertex count"),
+        ("n=\u0663\n", "line 1: bad vertex count"),
+        ("n=20\n# edges\n1_0 2\n", "line 3: non-integer"),
     ],
 )
 def test_read_graph_rejects_malformed(text, fragment):

@@ -9,9 +9,11 @@ from unicover import (
     Digraph,
     EdgeType,
     InternalInfeasible,
+    InternalInvariantError,
     NotGraphical,
     SimpleGraph,
     SimplicityViolation,
+    TypedDegreeTable,
     build_table,
     canonical_code,
     enumerate_graphs,
@@ -26,6 +28,7 @@ from unicover import (
     verify_realization,
 )
 import unicover.realize
+from unicover.realize import realize_table
 from reference import havel_hakimi_dense, kleitman_wang_dense
 from treegen import hub_pairs, path_graph, random_graph, star_and_head_degrees
 
@@ -69,68 +72,127 @@ def test_kleitman_wang_exact_on_every_digraphical_sequence_up_to_four():
                 assert kleitman_wang(pairs).bidegree_sequence() == pairs
 
 
+def _table(n, supports, pairs=()):
+    """A hand-made table: the diagonal types of `supports` in their given order, then `pairs`."""
+    totals = {etype: sum(c for _, c in support) for etype, support in supports.items()}
+    diagonal = tuple(etype for etype in supports if etype.near == etype.far)
+    return TypedDegreeTable(n, 1, supports, totals, diagonal, tuple(pairs))
+
+
+def _doctored(table, **fields):
+    """`table` with some of its fields replaced."""
+    return TypedDegreeTable(*[fields.get(name, getattr(table, name)) for name in TypedDegreeTable.__slots__])
+
+
+def _skew_table(vertices, n):
+    """One inverse pair, (out, in) = (1, 0), (0, 2), (1, 0) on `vertices`: a path's middle as the head."""
+    a, b, c = vertices
+    supports = {SKEW: ((a, 1), (c, 1)), SKEW.inverse(): ((b, 2),)}
+    return _table(n, supports, [(SKEW, tuple(vertices), ((1, 0), (0, 2), (1, 0)))])
+
+
+def _path_table():
+    table = build_table(neighborhood_collection(path_graph(3), 2), 2)
+    assert table.diagonal == () and [rep for rep, _, _ in table.pairs] == [SKEW]
+    return table
+
+
 def test_glue_single_diagonal_part():
-    tagged = glue({DIAG: ([0, 1], SimpleGraph(2, [(0, 1)]))}, 2)
-    assert tagged.graph == SimpleGraph(2, [(0, 1)])
-    assert tagged.tags[(0, 1)].etype == DIAG
-    assert tagged.tags[(0, 1)].tail is None
+    table = build_table([parse_tree("(())")] * 2, 1)
+    assert table.diagonal == (DIAG,)
+    assert glue(table, [SimpleGraph(2, [(0, 1)])]) == SimpleGraph(2, [(0, 1)])
 
 
 def test_glue_maps_parts_back_through_their_labels():
-    tagged = glue({DIAG: ([1, 4], SimpleGraph(2, [(0, 1)]))}, 5)
-    assert tagged.graph == SimpleGraph(5, [(1, 4)])
-    assert set(tagged.tags) == {(1, 4)}
+    table = _table(5, {DIAG: ((1, 1), (4, 1))})
+    assert glue(table, [SimpleGraph(2, [(0, 1)])]) == SimpleGraph(5, [(1, 4)])
 
 
 def test_glue_empty_parts():
-    assert glue({}, 0).graph == SimpleGraph(0)
-    assert glue({}, n=5).graph == SimpleGraph(5)
+    assert glue(build_table([], 1), []) == SimpleGraph(0)
+    assert glue(build_table([parse_tree("()")] * 5, 1), []) == SimpleGraph(5)
 
 
-def test_glue_records_arc_tails():
-    tagged = glue({SKEW: ([0, 1, 2], Digraph(3, [(2, 1), (0, 1)]))}, 3)
-    assert tagged.graph.edges == ((0, 1), (1, 2))
-    assert tagged.tags[(0, 1)].tail == 0
-    assert tagged.tags[(1, 2)].tail == 2
-    relabelled = glue({SKEW: ([2, 5, 7], Digraph(3, [(2, 1), (0, 1)]))}, 8)
-    assert relabelled.graph.edges == ((2, 5), (5, 7))
-    assert relabelled.tags[(2, 5)].tail == 2
-    assert relabelled.tags[(5, 7)].tail == 7
+def test_glue_forgets_arc_directions_but_checks_the_tails():
+    part = Digraph(3, [(2, 1), (0, 1)])
+    assert glue(_skew_table((0, 1, 2), 3), [part]).edges == ((0, 1), (1, 2))
+    assert glue(_skew_table((2, 5, 7), 8), [part]).edges == ((2, 5), (5, 7))
+    # The same edges with every tail at the middle vertex give it the wrong type.
+    with pytest.raises(InternalInvariantError, match="degrees"):
+        glue(_skew_table((0, 1, 2), 3), [Digraph(3, [(1, 2), (1, 0)])])
 
 
 def test_glue_detects_cross_part_collision():
-    parts = {
-        DIAG: ([0, 1], SimpleGraph(2, [(0, 1)])),
-        DIAG2: ([0, 1, 2], SimpleGraph(3, [(0, 1)])),
-    }
-    with pytest.raises(SimplicityViolation):
-        glue(parts, 3)
+    table = _table(3, {DIAG: ((0, 1), (1, 1)), DIAG2: ((0, 1), (1, 1))})
+    with pytest.raises(SimplicityViolation, match="again"):
+        glue(table, [SimpleGraph(2, [(0, 1)]), SimpleGraph(2, [(0, 1)])])
 
 
 def test_glue_detects_opposite_arcs_in_one_part():
-    with pytest.raises(SimplicityViolation):
-        glue({SKEW: ([0, 1], Digraph(2, [(0, 1), (1, 0)]))}, 2)
+    # Each arc alone is a different edge, so the (out, in) counts match.
+    supports = {SKEW: ((0, 1), (1, 1)), SKEW.inverse(): ((0, 1), (1, 1))}
+    table = _table(2, supports, [(SKEW, (0, 1), ((1, 1), (1, 1)))])
+    with pytest.raises(SimplicityViolation, match="again"):
+        glue(table, [Digraph(2, [(0, 1), (1, 0)])])
 
 
 def test_glue_validates_part_kinds_and_sizes():
-    with pytest.raises(ValueError):
-        glue({DIAG: ([0, 1], Digraph(2, [(0, 1)]))}, 2)
-    with pytest.raises(ValueError):
-        glue({SKEW: ([0, 1], SimpleGraph(2, [(0, 1)]))}, 2)
-    with pytest.raises(ValueError):
-        glue({SKEW.inverse(): ([0, 1], Digraph(2, [(0, 1)]))}, 2)
-    # a part's vertex count must equal its number of labels
-    with pytest.raises(ValueError):
-        glue({DIAG: ([0, 1], SimpleGraph(2, [(0, 1)])), DIAG2: ([0, 1], SimpleGraph(3))}, 3)
-    # labels must lie below n and ascend
-    with pytest.raises(ValueError):
-        glue({DIAG: ([0, 4], SimpleGraph(2, [(0, 1)]))}, 4)
-    with pytest.raises(ValueError):
-        glue({DIAG: ([-1, 1], SimpleGraph(2, [(0, 1)]))}, 4)
-    with pytest.raises(ValueError):
-        glue({DIAG: ([2, 1], SimpleGraph(2, [(0, 1)]))}, 4)
-    with pytest.raises(ValueError):
-        glue({DIAG: ([1, 1], SimpleGraph(2, [(0, 1)]))}, 4)
+    diagonal = build_table([parse_tree("(())")] * 2, 1)
+    skew = _skew_table((0, 1, 2), 3)
+    for table, parts in [
+        (diagonal, []),
+        (diagonal, [SimpleGraph(2, [(0, 1)])] * 2),
+        (diagonal, [Digraph(2, [(0, 1)])]),
+        (diagonal, [SimpleGraph(3, [(0, 1)])]),
+        (skew, [SimpleGraph(3, [(0, 1), (1, 2)])]),
+        (skew, [Digraph(2, [(0, 1)])]),
+    ]:
+        with pytest.raises(ValueError, match="parts were given|needs a"):
+            glue(table, parts)
+
+
+def test_realize_table_refuses_swapped_pair_counts():
+    table = _path_table()
+    [(rep, vertices, counts)] = table.pairs
+    swapped = tuple((b, a) for a, b in counts)
+    with pytest.raises(InternalInvariantError, match="degrees"):
+        realize_table(_doctored(table, pairs=((rep, vertices, swapped),)))
+
+
+def test_glue_refuses_plan_vertices_that_do_not_ascend_within_range():
+    table = _path_table()
+    [(rep, vertices, counts)] = table.pairs
+    part = Digraph(3, [(0, 1), (2, 1)])
+    assert glue(table, [part]).edges == ((0, 1), (1, 2))
+    for bad in ((0, 0, 2), (2, 1, 0), (0, 1, 3), (-1, 0, 1)):
+        with pytest.raises(InternalInvariantError, match="ascend"):
+            glue(_doctored(table, pairs=((rep, bad, counts),)), [part])
+    with pytest.raises(InternalInvariantError, match="ascend"):
+        glue(_table(4, {DIAG: ((1, 1), (1, 1))}), [SimpleGraph(2, [(0, 1)])])
+
+
+def test_realize_table_refuses_a_type_in_no_plan_entry():
+    with pytest.raises(InternalInvariantError, match="no plan entry"):
+        realize_table(_doctored(_path_table(), pairs=()))
+
+
+def test_glue_refuses_a_part_with_other_degrees():
+    cycle = build_table([parse_tree("((())(()))")] * 4, 2)
+    assert len(cycle.diagonal) == 1 and cycle.pairs == ()
+    assert glue(cycle, [SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])]).edges
+    with pytest.raises(InternalInvariantError, match="degrees"):
+        glue(cycle, [SimpleGraph(4, [(0, 1), (2, 3)])])
+    # A pair whose plan leaves out a vertex where its types occur.
+    table = _path_table()
+    [(rep, _, counts)] = table.pairs
+    with pytest.raises(InternalInvariantError, match="degrees"):
+        glue(_doctored(table, pairs=((rep, (0, 1), counts[:2]),)), [Digraph(2, [(0, 1)])])
+
+
+def test_glue_refuses_a_plan_entry_of_the_wrong_kind():
+    table = _path_table()
+    with pytest.raises(InternalInvariantError, match="wrong kind"):
+        glue(_doctored(table, diagonal=(SKEW,), pairs=()), [SimpleGraph(2, [(0, 1)])])
 
 
 def test_realize_single_edge():

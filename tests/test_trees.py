@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import io
+import pickle
 import random
 
 import pytest
@@ -183,6 +185,42 @@ def test_equality_and_hash_of_very_deep_trees():
     assert a == b and hash(a) == hash(b)
     assert a != parse_tree("(" * 3000 + "()" + ")" * 3000)
     assert len({a, b}) == 1
+
+
+def test_repr_copy_and_pickle_of_very_deep_trees():
+    word = "(" * 3000 + ")" * 3000
+    tree = parse_tree(word)
+    text = repr(tree)
+    assert text == "RootedTree(children=(" * 2999 + "RootedTree(children=())" + ",))" * 2999
+    for clone in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        twin = clone(tree)
+        assert twin == tree and canonical_code(twin) == word
+
+
+def test_repr_of_small_trees_spells_out_the_children():
+    leaf = RootedTree()
+    assert repr(leaf) == "RootedTree(children=())"
+    assert repr(RootedTree((leaf,))) == "RootedTree(children=(RootedTree(children=()),))"
+    assert repr(RootedTree((leaf, RootedTree((leaf,))))) == (
+        "RootedTree(children=(RootedTree(children=()), RootedTree(children=(RootedTree(children=()),))))"
+    )
+    rng = random.Random(12)
+    for _ in range(50):
+        t = shuffle_tree(random_tree(rng, 12), rng)
+        assert repr(t) == f"RootedTree(children={t.children!r})"
+
+
+def test_pickle_keeps_the_stored_child_order_and_sharing():
+    rng = random.Random(21)
+    for _ in range(100):
+        t = shuffle_tree(random_tree(rng, 15), rng)
+        for twin in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert twin == t and repr(twin) == repr(t)
+    leaf = RootedTree()
+    cherry = RootedTree((leaf, leaf))
+    for twin in (pickle.loads(pickle.dumps(RootedTree((cherry, leaf)))), copy.deepcopy(RootedTree((cherry, leaf)))):
+        assert twin != RootedTree((leaf, cherry))
+        assert twin.children[0].children[0] is twin.children[0].children[1] is twin.children[1]
 
 
 def test_equality_is_structural_and_order_sensitive():
