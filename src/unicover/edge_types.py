@@ -79,7 +79,13 @@ def _edge_pairs(forest: Forest, child_ids: Sequence[int], depth: int) -> list[tu
     """
     if depth == 1:
         return [(forest.leaf, c) for c in child_ids]
-    cuts = [forest.truncate(c, depth - 2) for c in child_ids]
+    # Most children are their own cut or already cut; only the rest pay for
+    # a call into Forest.truncate.
+    depths, memo, low = forest.depths, forest._cuts, depth - 2
+    cuts = []
+    for c in child_ids:
+        cut = c if depths[c] <= low else memo.get((c, low))
+        cuts.append(forest.truncate(c, low) if cut is None else cut)
     near: dict[int, int] = {}
     for j, c in enumerate(child_ids):
         if c not in near:
@@ -189,9 +195,8 @@ def table_from_ids(forest: Forest, roots: Sequence[int], depth: int) -> TypedDeg
             if entries is None:
                 entries = support[pair] = []
             entries.append((i, count))
-    codes = forest.codes
-    keys = {t: code_sort_key(codes[t]) for pair in support for t in pair}
-    etypes = {pair: EdgeType(near=codes[pair[0]], far=codes[pair[1]]) for pair in support}
+    codes, keys = forest.codes, forest.keys
+    etypes = {pair: EdgeType(codes[pair[0]], codes[pair[1]]) for pair in support}
     order = sorted(support, key=lambda p: (keys[p[0]], keys[p[1]]))
     supports = {etypes[p]: tuple(support[p]) for p in order}
     totals = {etype: sum(c for _, c in entries) for etype, entries in supports.items()}
@@ -206,6 +211,6 @@ def table_from_ids(forest: Forest, roots: Sequence[int], depth: int) -> TypedDeg
         out = dict(support.get((near, far), ()))
         inn = dict(support.get((far, near), ()))
         vertices = tuple(sorted(out.keys() | inn.keys()))
-        rep = etypes.get((near, far)) or EdgeType(near=codes[near], far=codes[far])
+        rep = etypes.get((near, far)) or EdgeType(codes[near], codes[far])
         pairs.append((rep, vertices, tuple((out.get(v, 0), inn.get(v, 0)) for v in vertices)))
     return TypedDegreeTable(len(roots), depth, supports, totals, diagonal, tuple(pairs))

@@ -10,6 +10,13 @@ Internally every tree lives in a :class:`Forest`, an Aho-Hopcroft-Ullman
 hash-consing table that gives each distinct subtree one integer id.  Parsed
 trees and whole collections come back with their children in canonical
 order, and equal subtrees are one shared :class:`RootedTree` object.
+
+Parsing is one left-to-right scan that interns each node as it closes.
+Two C-speed string passes come first, one to reject any character other
+than a parenthesis and one to fold every leaf "()" into a single
+character, so the Python loop takes one step per leaf and two per
+internal node.  Only a malformed word is scanned a second time, to name
+its first fault and that fault's position.
 """
 
 from __future__ import annotations
@@ -157,8 +164,9 @@ class Forest:
     A node is the tuple of its child ids sorted by the :func:`code_sort_key`
     order of their codes, so two trees get the same id exactly when they are
     isomorphic.  Children are interned before their parent, and each new id
-    records once its canonical code (`codes`), its depth (`depths`) and its
-    sorted child ids (`kids`).  :meth:`tree` builds an id's
+    records once its canonical code (`codes`), the code's
+    :func:`code_sort_key` (`keys`), its depth (`depths`) and its sorted
+    child ids (`kids`).  :meth:`tree` builds an id's
     :class:`RootedTree` on first request, children in canonical order and
     made of the children's shared objects.  Nothing here recurses, so input
     depth is bounded only by memory.
@@ -166,10 +174,10 @@ class Forest:
 
     def __init__(self) -> None:
         self._ids: dict[tuple[int, ...], int] = {}
-        self._keys: list[tuple[int, str]] = []
         self._cuts: dict[tuple[int, int], int] = {}
         self.kids: list[tuple[int, ...]] = []
         self.codes: list[CanonCode] = []
+        self.keys: list[tuple[int, str]] = []
         self.depths: list[int] = []
         self._trees: dict[int, RootedTree] = {}
         self.leaf = self.node(())
@@ -179,14 +187,14 @@ class Forest:
         given = tuple(child_ids)
         tid = self._ids.get(given)
         if tid is None:
-            kids = tuple(sorted(given, key=self._keys.__getitem__))
+            kids = tuple(sorted(given, key=self.keys.__getitem__))
             tid = self._ids.get(kids)
             if tid is None:
                 tid = self._ids[kids] = len(self.kids)
                 code = "(" + "".join([self.codes[c] for c in kids]) + ")"
                 self.kids.append(kids)
                 self.codes.append(code)
-                self._keys.append((len(code), code))
+                self.keys.append((len(code), code))
                 self.depths.append(1 + max([self.depths[c] for c in kids]) if kids else 0)
             # The same children in the same order later skip the sort.
             self._ids[given] = tid
@@ -212,31 +220,40 @@ class Forest:
 
         Raises ParseError on empty input, unbalanced parentheses, characters
         other than parentheses, or trailing garbage after the word.
+
+        Once every leaf "()" is folded into one ".", each closed node's
+        child tuple is looked up in the interning table directly, and
+        :meth:`node` is called only for a node not seen before.  The
+        outermost list collects the root, so the word is well formed
+        exactly when the loop ends with no node open and one id in that
+        list; otherwise :func:`_fault` names the first fault.
         """
         word = text.strip()
-        if not word:
-            raise ParseError("empty tree text")
-        stack: list[list[int]] = []
-        root: int | None = None
-        for pos, ch in enumerate(word):
-            if root is not None:
-                raise ParseError(f"trailing characters after the tree at position {pos}")
-            if ch == "(":
-                stack.append([])
-            elif ch == ")":
-                if not stack:
-                    raise ParseError(f"unbalanced ')' at position {pos}")
-                kids = stack.pop()
-                tid = self.node(kids) if kids else self.leaf
-                if stack:
-                    stack[-1].append(tid)
+        if word and not word.translate(_DROP_PARENS):
+            ids, node, leaf = self._ids, self.node, self.leaf
+            open_kids: list[list[int]] = []
+            kids: list[int] = []
+            top = kids
+            for ch in word.replace("()", "."):
+                if ch == ".":
+                    kids.append(leaf)
+                elif ch == "(":
+                    open_kids.append(kids)
+                    kids = []
                 else:
-                    root = tid
+                    given = tuple(kids)
+                    tid = ids.get(given)
+                    if tid is None:
+                        tid = node(given)
+                    try:
+                        kids = open_kids.pop()
+                    except IndexError:  # a ")" with no open node
+                        break
+                    kids.append(tid)
             else:
-                raise ParseError(f"unexpected character {ch!r} at position {pos}")
-        if root is None:
-            raise ParseError("unbalanced '(': tree text ends too early")
-        return root
+                if not open_kids and len(top) == 1:
+                    return top[0]
+        raise ParseError(_fault(word))
 
     def intern(self, trees: Iterable[RootedTree]) -> Iterator[int]:
         """Ids of `trees`, lazily and in order; each distinct object is visited once.
@@ -256,26 +273,50 @@ class Forest:
         """Id of the subtree of all nodes at depth <= k; memoized per (id, k)."""
         if k < 0:
             raise ValueError("truncation depth must be >= 0")
-        depths, cuts = self.depths, self._cuts
-
-        def done(t: int, j: int) -> int | None:
-            if depths[t] <= j:
-                return t
-            return self.leaf if j == 0 else cuts.get((t, j))
-
+        depths, cuts, kids, leaf = self.depths, self._cuts, self.kids, self.leaf
+        if depths[tid] <= k:
+            return tid
+        if k == 0:
+            return leaf
+        # Only pairs (t, j) with depths[t] > j >= 1 are stacked and memoized.
+        # A child cut to `low` is itself when it is no deeper than `low`, the
+        # leaf when `low` is 0, and its memoized cut otherwise.
         stack = [(tid, k)]
         while stack:
             t, j = stack[-1]
-            if done(t, j) is not None:
+            if (t, j) in cuts:
                 stack.pop()
                 continue
-            pending = [(c, j - 1) for c in self.kids[t] if done(c, j - 1) is None]
+            low = j - 1
+            pending = [(c, low) for c in kids[t] if low and depths[c] > low and (c, low) not in cuts]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
-            cuts[(t, j)] = self.node([done(c, j - 1) for c in self.kids[t]])
-        return done(tid, k)
+            cuts[(t, j)] = self.node(
+                [c if depths[c] <= low else cuts[(c, low)] if low else leaf for c in kids[t]]
+            )
+        return cuts[(tid, k)]
+
+
+# Deletes both parentheses, so a word is all parentheses iff nothing is left.
+_DROP_PARENS = str.maketrans("", "", "()")
+
+
+def _fault(word: str) -> str:
+    """Message for the first fault of a malformed word, found left to right."""
+    if not word:
+        return "empty tree text"
+    level = 0
+    for pos, ch in enumerate(word):
+        if ch != "(" and ch != ")":
+            return f"unexpected character {ch!r} at position {pos}"
+        if ch == ")" and not level:
+            return f"unbalanced ')' at position {pos}"
+        level += 1 if ch == "(" else -1
+        if not level and pos + 1 < len(word):
+            return f"trailing characters after the tree at position {pos + 1}"
+    return "unbalanced '(': tree text ends too early"
 
 
 def _interned(tree: RootedTree) -> tuple[Forest, int]:
@@ -330,16 +371,20 @@ def iter_collection(lines: Iterable[str], *, forest: Forest) -> Iterator[tuple[i
     """Yield (line number, id in `forest`) for each tree line of a collection file.
 
     Blank lines and lines starting with '#' are skipped.  Line numbers are
-    1-based and refer to the raw input.
+    1-based and refer to the raw input.  Each distinct line is parsed once
+    per call.
     """
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            tid = forest.parse(line)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        tid = seen.get(line)
+        if tid is None:
+            try:
+                tid = seen[line] = forest.parse(line)
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         yield lineno, tid
 
 

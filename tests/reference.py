@@ -5,14 +5,45 @@ replaced: the linear subsum scans must return the same smallest witness k,
 and the heap-based realizers the same edge lists, as these direct
 transcriptions of the definitions.  The inverse-pair helpers that the
 table's plan replaced: `TypedDegreeTable.pairs` must name and fill the
-same pairs in the same order.
+same pairs in the same order.  The parser that took one step per
+character: `Forest.parse` must give the same id, or fail with the same
+message, on every string.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from unicover import Digraph, EdgeType, SimpleGraph, TypeClass, TypedDegreeTable
+from unicover import Digraph, EdgeType, ParseError, SimpleGraph, TypeClass, TypedDegreeTable
+from unicover.trees import Forest
+
+
+def parse_by_character(forest: Forest, text: str) -> int:
+    """`Forest.parse` as one branch per character, stopping at the first fault."""
+    word = text.strip()
+    if not word:
+        raise ParseError("empty tree text")
+    stack: list[list[int]] = []
+    root: int | None = None
+    for pos, ch in enumerate(word):
+        if root is not None:
+            raise ParseError(f"trailing characters after the tree at position {pos}")
+        if ch == "(":
+            stack.append([])
+        elif ch == ")":
+            if not stack:
+                raise ParseError(f"unbalanced ')' at position {pos}")
+            kids = stack.pop()
+            tid = forest.node(kids) if kids else forest.leaf
+            if stack:
+                stack[-1].append(tid)
+            else:
+                root = tid
+        else:
+            raise ParseError(f"unexpected character {ch!r} at position {pos}")
+    if root is None:
+        raise ParseError("unbalanced '(': tree text ends too early")
+    return root
 
 
 def first_subsum_violation(desc: Sequence[int]) -> int | None:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import copy
 import io
+import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,8 @@ from unicover import (
     truncate,
     write_collection,
 )
-from unicover.trees import Forest, code_sort_key, count_nodes, depth
+from unicover.trees import Forest, code_sort_key, count_nodes, depth, iter_collection
+import reference
 from treegen import random_tree, shuffle_tree
 
 trees_st = st.recursive(
@@ -44,10 +47,41 @@ def test_parse_ignores_surrounding_whitespace():
     assert parse_tree("  (())\n") == parse_tree("(())")
 
 
-@pytest.mark.parametrize("bad", ["", "   ", "(", ")", "(()", "())", ")(", "()()", "(())x", "(a)"])
+MALFORMED = {
+    "": "empty tree text",
+    "   ": "empty tree text",
+    "(": "unbalanced '(': tree text ends too early",
+    ")": "unbalanced ')' at position 0",
+    "(()": "unbalanced '(': tree text ends too early",
+    "())": "trailing characters after the tree at position 2",
+    ")(": "unbalanced ')' at position 0",
+    "()()": "trailing characters after the tree at position 2",
+    "(())x": "trailing characters after the tree at position 4",
+    "(a)": "unexpected character 'a' at position 1",
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED))
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_tree(bad)
+    assert str(exc.value) == MALFORMED[bad]
+
+
+def test_parse_names_the_first_fault_of_deep_and_padded_words():
+    for bad, message in [
+        ("(" * 5000 + ")" * 5001, "trailing characters after the tree at position 10000"),
+        ("(" * 5000, "unbalanced '(': tree text ends too early"),
+        ("(" * 5000 + "." + ")" * 5000, "unexpected character '.' at position 5000"),
+        ("\t (x)(", "unexpected character 'x' at position 1"),
+        ("(()) ()", "trailing characters after the tree at position 4"),
+        ("())x", "trailing characters after the tree at position 2"),
+        ("()(.", "trailing characters after the tree at position 2"),
+        (".()", "unexpected character '.' at position 0"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            Forest().parse(bad)
+        assert str(exc.value) == message, bad
 
 
 def test_canonical_sorts_children():
@@ -176,6 +210,92 @@ def test_forest_ids_follow_isomorphism():
     assert (forest.codes[x], forest.depths[x], forest.tree(x)) == ("(()(()))", 2, parse_tree("(()(()))"))
     assert forest.codes[forest.truncate(x, 1)] == "(()())"
     assert forest.truncate(x, 2) == x
+
+
+def _outcome(parse, text: str) -> int | str:
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _parse_agrees_with_the_reference(words) -> int:
+    """Compare Forest.parse with the per-character reference on each word; return how many parsed."""
+    new, old = Forest(), Forest()
+    valid = 0
+    for text in words:
+        want = _outcome(lambda t: reference.parse_by_character(Forest(), t), text)
+        if isinstance(want, str):
+            # Only the message is compared: how much of a malformed word
+            # gets interned before the fault is found is not specified.
+            assert _outcome(Forest().parse, text) == want, repr(text)
+        else:
+            valid += 1
+            assert new.parse(text) == reference.parse_by_character(old, text), repr(text)
+    assert (new.kids, new.codes) == (old.kids, old.codes)
+    return valid
+
+
+def test_parse_matches_the_per_character_reference_on_random_strings():
+    rng = random.Random(20)
+    alphabet = "() x.\t"
+    words = ["", " ", "\t", " \t  ", ".", "()", " () "]
+    for _ in range(3000):
+        words.append("".join(rng.choice(alphabet) for _ in range(rng.randrange(10))))
+    for _ in range(1500):
+        # Near-misses of well-formed words: change or insert a character, and pad.
+        word = list(_stored_code(shuffle_tree(random_tree(rng, 12), rng)))
+        if rng.random() < 0.6:
+            word[rng.randrange(len(word))] = rng.choice(alphabet)
+        if rng.random() < 0.3:
+            word.insert(rng.randrange(len(word) + 1), rng.choice(alphabet))
+        words.append(rng.choice(["", " ", "\t"]) + "".join(word) + rng.choice(["", " ", "\t"]))
+    assert _parse_agrees_with_the_reference(words) > 500
+
+
+def test_parse_matches_the_per_character_reference_on_the_golden_tree_files():
+    corpus = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
+    words = [line for case in corpus for line in case.get("trees", "").split("\n")]
+    assert _parse_agrees_with_the_reference(words) > 100
+
+
+def _count_calls(monkeypatch, name: str) -> list[tuple]:
+    """Record the arguments of every later call of `Forest.<name>`."""
+    calls: list[tuple] = []
+    real = getattr(Forest, name)
+
+    def counted(self, arg):
+        calls.append(arg)
+        return real(self, arg)
+
+    monkeypatch.setattr(Forest, name, counted)
+    return calls
+
+
+def test_parse_interns_each_internal_node_at_most_once_and_no_leaf(monkeypatch):
+    rng = random.Random(3)
+    words = [_stored_code(shuffle_tree(random_tree(rng), rng)) for _ in range(200)]
+    forest = Forest()
+    calls = _count_calls(monkeypatch, "node")
+    ids = [forest.parse(w) for w in words]
+    internal = sum(w.count("(") - w.count("()") for w in words)
+    assert 0 < len(calls) <= internal
+    assert all(calls)  # no call for a leaf, whose child tuple is empty
+    # Once a node is interned, its child tuple is found without a call.
+    calls.clear()
+    assert [forest.parse(w) for w in words] == ids
+    assert calls == []
+
+
+def test_iter_collection_parses_each_distinct_line_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "parse")
+    lines = ["(())", "# note", "(()())", "  (())  ", "", "(())", "(()())"]
+    got = list(iter_collection(lines, forest=Forest()))
+    assert calls == ["(())", "(()())"]
+    assert [lineno for lineno, _ in got] == [1, 3, 4, 6, 7]
+    assert got[0][1] == got[2][1] == got[3][1] != got[1][1] == got[4][1]
+    with pytest.raises(ParseError, match="^line 4: unexpected character 'x' at position 1$"):
+        list(iter_collection(["(())", "()", "(())", "(x)", "(x)"], forest=Forest()))
 
 
 def test_equality_and_hash_of_very_deep_trees():
