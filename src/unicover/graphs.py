@@ -39,13 +39,24 @@ class SimpleGraph:
             if key in seen:
                 raise ValueError(f"parallel edge ({key[0]}, {key[1]})")
             seen.add(key)
+        self._index(n, seen)
+
+    @classmethod
+    def _from_checked(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
+        """Graph on `edges` already known to be distinct (u, v) pairs with 0 <= u < v < n."""
+        graph = cls.__new__(cls)
+        graph._index(n, edges)
+        return graph
+
+    def _index(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
         neigh: list[list[int]] = [[] for _ in range(n)]
+        # Sorted u < v edges reach each vertex's neighbours in ascending order.
         for u, v in self.edges:
             neigh[u].append(v)
             neigh[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in neigh)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, neigh))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -125,7 +136,7 @@ def read_graph(lines: Iterable[str]) -> SimpleGraph:
     Counts and endpoints are ASCII `-?[0-9]+` words (no '+', '_' or other
     digits).  The header must give 0 <= n <= MAX_VERTICES.  Each edge line
     is checked on its own (range, loop, repeat of an earlier line), and the
-    graph is built once at the end.
+    graph is built once at the end without checking the edges again.
     """
     n: int | None = None
     seen: set[tuple[int, int]] = set()
@@ -164,7 +175,7 @@ def read_graph(lines: Iterable[str]) -> SimpleGraph:
         seen.add(key)
     if n is None:
         raise GraphFormatError("missing 'n=<count>' header")
-    return SimpleGraph(n, seen)
+    return SimpleGraph._from_checked(n, seen)
 
 
 def write_graph(graph: SimpleGraph, out: IO[str]) -> None:

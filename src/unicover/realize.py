@@ -2,23 +2,29 @@
 
 Each diagonal type gets a simple graph with the prescribed degree vector,
 each inverse pair of non-diagonal types a loopless digraph with the
-prescribed (out, in) vectors, and :func:`glue` unions the edge sets.  The
-union is provably simple for tables harvested from any graph, so a collision
-during gluing is treated as an internal bug, never as bad input.
+prescribed (out, in) vectors, and the union of the edge sets is the
+realization.  The union is provably simple for tables harvested from any
+graph, so a collision while placing the parts is treated as an internal
+bug, never as bad input.
 
 Both realizers are deterministic greedies; identical inputs produce
-identical edge lists byte for byte.  :func:`realize_table` runs them along
-a checked table's plan, each type on its support alone, relabelled in
-vertex order; a support of s vertices with m edges costs O((s + m) log s).
-:func:`glue` takes the parts in plan order, maps them back through the
-plan's vertices and checks each against the table once, in time linear in
-its support and edges.
+identical edge lists byte for byte.  :func:`realize_table` takes one pass
+per entry of a checked table's plan, each type on its support alone,
+relabelled in vertex order; a support of s vertices with m edges costs
+O((s + m) log s).  A pair whose counts are ((1, 0), (0, 1)) or
+((0, 1), (1, 0)) has exactly one arc, the one Kleitman–Wang would choose,
+so it is placed directly, with no heap and no Digraph.  One placer maps
+each part's edges back through the plan's vertices into a single owner
+map, checks them against the table in time linear in the support and
+edges, and the final graph is built once from that map without a second
+validation.  :func:`glue` checks parts given from outside the plan's
+realizers and hands them to the same placer.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .edge_types import EdgeType, TypedDegreeTable, build_table
 from .errors import InternalInfeasible, InternalInvariantError, NotGraphical, SimplicityViolation
@@ -34,20 +40,16 @@ __all__ = [
     "realize_table",
 ]
 
+# A part to place: its type, its vertices, and its edges (arcs when
+# directed) in local labels, part vertex j being the j-th vertex.
+_Part = tuple[EdgeType, Sequence[int], Iterable[tuple[int, int]], bool]
 
-def havel_hakimi(degrees: Sequence[int]) -> SimpleGraph:
-    """Simple graph with exactly the given degree sequence.
+# Counts of a pair with one arc, and that arc in local labels.
+_FORCED = {((1, 0), (0, 1)): ((0, 1),), ((0, 1), (1, 0)): ((1, 0),)}
 
-    Greedy: repeatedly pick the vertex with the largest residual degree
-    (lowest index on ties) and connect all its remaining stubs to the
-    vertices with the next-largest residuals (again lowest index on ties).
-    The input must be graphical; a stuck state raises InternalInfeasible.
-    A heap keyed by (-residual, index) holds the vertices with a positive
-    residual, so s such vertices and m edges cost O((s + m) log s).
-    """
-    res = [int(d) for d in degrees]
-    if any(d < 0 for d in res):
-        raise ValueError("degrees must be non-negative")
+
+def _hh_edges(res: list[int]) -> list[tuple[int, int]]:
+    """Havel–Hakimi's edges (u < v) for the residual degrees `res`, which it uses up."""
     # Every vertex in the heap has exactly one entry, with its current key:
     # a vertex's key only changes while it is popped.
     heap = [(-d, i) for i, d in enumerate(res) if d > 0]
@@ -67,29 +69,30 @@ def havel_hakimi(degrees: Sequence[int]) -> SimpleGraph:
             edges.append((v, t) if v < t else (t, v))
             if res[t]:
                 heappush(heap, (-res[t], t))
-    graph = SimpleGraph(len(res), edges)
+    return edges
+
+
+def havel_hakimi(degrees: Sequence[int]) -> SimpleGraph:
+    """Simple graph with exactly the given degree sequence.
+
+    Greedy: repeatedly pick the vertex with the largest residual degree
+    (lowest index on ties) and connect all its remaining stubs to the
+    vertices with the next-largest residuals (again lowest index on ties).
+    The input must be graphical; a stuck state raises InternalInfeasible.
+    A heap keyed by (-residual, index) holds the vertices with a positive
+    residual, so s such vertices and m edges cost O((s + m) log s).
+    """
+    res = [int(d) for d in degrees]
+    if any(d < 0 for d in res):
+        raise ValueError("degrees must be non-negative")
+    graph = SimpleGraph(len(res), _hh_edges(res))
     if graph.degree_sequence() != tuple(int(d) for d in degrees):
         raise InternalInfeasible("constructed graph does not match the requested degrees")
     return graph
 
 
-def kleitman_wang(pairs: Sequence[tuple[int, int]]) -> Digraph:
-    """Loopless digraph with exactly the given (out, in) degree pairs.
-
-    Greedy: repeatedly pick the vertex with the lexicographically largest
-    residual (out, in) pair (lowest index on ties) and send all its remaining
-    out-stubs to distinct other vertices, preferring larger residual
-    in-degree, then larger residual out-degree, then lower index.  The input
-    must be digraphical; a stuck state raises InternalInfeasible.  Two heaps
-    keyed by exactly these orders hold the vertices with a positive residual
-    out-degree (sources) and in-degree (heads); an entry whose key is no
-    longer the vertex's current one is dropped when it surfaces.  s such
-    vertices and m arcs cost O((s + m) log s).
-    """
-    res_out = [int(a) for a, _ in pairs]
-    res_in = [int(b) for _, b in pairs]
-    if any(d < 0 for d in res_out + res_in):
-        raise ValueError("degree pairs must be non-negative")
+def _kw_arcs(res_out: list[int], res_in: list[int]) -> list[tuple[int, int]]:
+    """Kleitman–Wang's arcs for the residual (out, in) degrees, which it uses up."""
     sources = [(-a, -b, i) for i, (a, b) in enumerate(zip(res_out, res_in)) if a > 0]
     heads = [(-b, -a, i) for i, (a, b) in enumerate(zip(res_out, res_in)) if b > 0]
     heapify(sources)
@@ -130,11 +133,102 @@ def kleitman_wang(pairs: Sequence[tuple[int, int]]) -> Digraph:
                 heappush(sources, (-res_out[t], -res_in[t], t))
     if any(res_in):
         raise InternalInfeasible("in-stubs left over after all out-stubs were placed")
-    digraph = Digraph(len(res_out), arcs)
+    return arcs
+
+
+def kleitman_wang(pairs: Sequence[tuple[int, int]]) -> Digraph:
+    """Loopless digraph with exactly the given (out, in) degree pairs.
+
+    Greedy: repeatedly pick the vertex with the lexicographically largest
+    residual (out, in) pair (lowest index on ties) and send all its remaining
+    out-stubs to distinct other vertices, preferring larger residual
+    in-degree, then larger residual out-degree, then lower index.  The input
+    must be digraphical; a stuck state raises InternalInfeasible.  Two heaps
+    keyed by exactly these orders hold the vertices with a positive residual
+    out-degree (sources) and in-degree (heads); an entry whose key is no
+    longer the vertex's current one is dropped when it surfaces.  s such
+    vertices and m arcs cost O((s + m) log s).
+    """
+    res_out = [int(a) for a, _ in pairs]
+    res_in = [int(b) for _, b in pairs]
+    if any(d < 0 for d in res_out + res_in):
+        raise ValueError("degree pairs must be non-negative")
+    digraph = Digraph(len(res_out), _kw_arcs(res_out, res_in))
     want = tuple((int(a), int(b)) for a, b in pairs)
     if digraph.bidegree_sequence() != want:
         raise InternalInfeasible("constructed digraph does not match the requested degrees")
     return digraph
+
+
+def _name(etype: EdgeType) -> str:
+    return f"({etype.near},{etype.far})"
+
+
+def _plan(table: TypedDegreeTable) -> Iterator[tuple[EdgeType, Sequence[int], Sequence, bool]]:
+    """(type, vertices, counts, directed) per plan entry: the diagonal types, then the pairs."""
+    supports = table.supports
+    for etype in table.diagonal:
+        support = supports.get(etype, ())
+        yield etype, [v for v, _ in support], [c for _, c in support], False
+    for rep, vertices, counts in table.pairs:
+        yield rep, vertices, counts, True
+
+
+def _place(table: TypedDegreeTable, parts: Iterable[_Part]) -> SimpleGraph:
+    """Union the parts of `table`'s plan, each checked against the table once.
+
+    `parts` come in plan order.  Raises what :func:`glue` documents for a
+    checked part, and InternalInvariantError for a loop or an end outside
+    the part's vertices.  Degrees are counted from the placed edges and
+    compared with `table.supports`, whose counts are nonzero and in vertex
+    order.
+    """
+    supports, n = table.supports, table.n
+    covered = set(table.diagonal)
+    owner: dict[tuple[int, int], EdgeType] = {}
+    for etype, vertices, ends, directed in parts:
+        near, far = etype
+        if (near == far) == directed:
+            raise InternalInvariantError(f"the plan puts type {_name(etype)} in the wrong kind of part")
+        k = len(vertices)
+        if k and not (0 <= vertices[0] and vertices[-1] < n and sorted(set(vertices)) == list(vertices)):
+            raise InternalInvariantError(f"plan vertices of type {_name(etype)} must ascend within 0..{n - 1}")
+        placed: list[tuple[int, int]] = []
+        tails: dict[int, int] = {}
+        heads = {} if directed else tails
+        for u, v in ends:
+            if u == v or not (0 <= u < k and 0 <= v < k):
+                raise InternalInvariantError(
+                    f"part of type {_name(etype)} has an edge ({u}, {v}) that is a loop or leaves its {k} vertices"
+                )
+            a, b = vertices[u], vertices[v]
+            tails[a] = tails.get(a, 0) + 1
+            heads[b] = heads.get(b, 0) + 1
+            placed.append((a, b) if a < b else (b, a))  # ascending plan vertices keep a != b
+        if directed:
+            # A named tuple equals the plain tuple of its fields, so this
+            # finds and covers the inverse type without building it.
+            inverse = (far, near)
+            covered.update((etype, inverse))
+            fits = (
+                tuple(sorted(tails.items())) == supports.get(etype, ())
+                and tuple(sorted(heads.items())) == supports.get(inverse, ())
+            )
+        else:
+            fits = tuple(sorted(tails.items())) == supports.get(etype, ())
+        if not fits:
+            raise InternalInvariantError(f"part of type {_name(etype)} does not have the table's degrees")
+        for pair in placed:
+            clash = owner.get(pair)
+            if clash is not None:
+                raise SimplicityViolation(
+                    f"pair {pair} given by type {_name(clash)} and again by {_name(etype)}"
+                )
+            owner[pair] = etype
+    uncovered = [etype for etype in supports if etype not in covered]
+    if uncovered:
+        raise InternalInvariantError(f"type {_name(uncovered[0])} is in no plan entry")
+    return SimpleGraph._from_checked(n, owner)
 
 
 def glue(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) -> SimpleGraph:
@@ -152,46 +246,20 @@ def glue(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) -> Sim
     for its type, or a type that no plan entry covers raise
     InternalInvariantError.
     """
-    supports, n = table.supports, table.n
-    plan = [(etype, [v for v, _ in supports.get(etype, ())], SimpleGraph) for etype in table.diagonal]
-    plan += [(rep, vertices, Digraph) for rep, vertices, _ in table.pairs]
-    if len(parts) != len(plan):
-        raise ValueError(f"the plan has {len(plan)} entries but {len(parts)} parts were given")
-    covered = set(table.diagonal)
-    owner: dict[tuple[int, int], EdgeType] = {}
-    for (etype, vertices, kind), part in zip(plan, parts):
-        name = f"({etype.near},{etype.far})"
-        if not isinstance(part, kind) or part.n != len(vertices):
-            raise ValueError(f"type {name} needs a {kind.__name__} part on {len(vertices)} vertices")
-        if (etype.near == etype.far) != (kind is SimpleGraph):
-            raise InternalInvariantError(f"the plan puts type {name} in the wrong kind of part")
-        if sorted(set(vertices)) != list(vertices) or (vertices and not 0 <= vertices[0] <= vertices[-1] < n):
-            raise InternalInvariantError(f"plan vertices of type {name} must ascend within 0..{n - 1}")
-        if kind is SimpleGraph:
-            got, want = part.degree_sequence(), tuple([c for _, c in supports.get(etype, ())])
-            ends = part.edges
-        else:
-            inverse = etype.inverse()
-            covered.update((etype, inverse))
-            out, inn = dict(supports.get(etype, ())), dict(supports.get(inverse, ()))
-            want = tuple([(out.pop(v, 0), inn.pop(v, 0)) for v in vertices])
-            # Counts left at vertices off the plan match no part.
-            got = part.bidegree_sequence() if not (out or inn) else None
-            ends = [(u, v) if u < v else (v, u) for u, v in part.arcs]
-        if got != want:
-            raise InternalInvariantError(f"part of type {name} does not have the table's degrees")
-        for u, v in ends:  # ascending plan vertices keep u < v
-            pair = (vertices[u], vertices[v])
-            clash = owner.get(pair)
-            if clash is not None:
-                raise SimplicityViolation(
-                    f"pair {pair} given by type ({clash.near},{clash.far}) and again by {name}"
+    entries = len(table.diagonal) + len(table.pairs)
+    if len(parts) != entries:
+        raise ValueError(f"the plan has {entries} entries but {len(parts)} parts were given")
+
+    def checked() -> Iterator[_Part]:
+        for (etype, vertices, _, directed), part in zip(_plan(table), parts):
+            kind = Digraph if directed else SimpleGraph
+            if not isinstance(part, kind) or part.n != len(vertices):
+                raise ValueError(
+                    f"type {_name(etype)} needs a {kind.__name__} part on {len(vertices)} vertices"
                 )
-            owner[pair] = etype
-    uncovered = [etype for etype in supports if etype not in covered]
-    if uncovered:
-        raise InternalInvariantError(f"type ({uncovered[0].near},{uncovered[0].far}) is in no plan entry")
-    return SimpleGraph(n, owner)
+            yield etype, vertices, part.arcs if directed else part.edges, directed
+
+    return _place(table, checked())
 
 
 def realize_neighborhood(trees: Sequence[RootedTree], depth: int) -> SimpleGraph:
@@ -211,10 +279,15 @@ def realize_neighborhood(trees: Sequence[RootedTree], depth: int) -> SimpleGraph
 
 def realize_table(table: TypedDegreeTable) -> SimpleGraph:
     """Graph realizing a table that passed :func:`check_neighborhood`, along the table's plan."""
+
     # Each type is realized on its support alone, relabelled in vertex order,
     # so the lowest-index tie-breaks pick the same edges as on all n vertices.
-    parts: list[SimpleGraph | Digraph] = [
-        havel_hakimi([c for _, c in table.supports[etype]]) for etype in table.diagonal
-    ]
-    parts += [kleitman_wang(counts) for _, _, counts in table.pairs]
-    return glue(table, parts)
+    def realized() -> Iterator[_Part]:
+        for etype, vertices, counts, directed in _plan(table):
+            if not directed:
+                ends = havel_hakimi(counts).edges
+            else:
+                ends = _FORCED.get(counts) or kleitman_wang(counts).arcs
+            yield etype, vertices, ends, directed
+
+    return _place(table, realized())

@@ -58,12 +58,27 @@ def cover_ball(graph: SimpleGraph, vertex: int, radius: int) -> RootedTree:
 
     Its nodes are the non-backtracking walks of length <= radius out of
     `vertex` (walks may revisit vertices but never immediately reverse an
-    edge).  The result is in canonical child order.
+    edge).  The result is in canonical child order.  Those walks never leave
+    the vertices within distance `radius` of `vertex`, so only the subgraph
+    they induce is unfolded.
     """
     if not 0 <= vertex < graph.n:
         raise IndexError(f"vertex {vertex} out of range for n={graph.n}")
+    adj = graph.adj
+    label = {vertex: 0}  # breadth-first order, so `vertex` is 0
+    frontier = [vertex]
+    for _ in range(radius):
+        reached = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in label:
+                    label[w] = len(label)
+                    reached.append(w)
+        frontier = reached
+    edges = [(label[v], label[w]) for v in label for w in adj[v] if v < w and w in label]
+    ball = SimpleGraph._from_checked(len(label), [(a, b) if a < b else (b, a) for a, b in edges])
     forest = Forest()
-    return forest.tree(ball_ids(forest, graph, radius)[vertex])
+    return forest.tree(ball_ids(forest, ball, radius)[0])
 
 
 def neighborhood_collection(graph: SimpleGraph, radius: int) -> list[RootedTree]:

@@ -7,14 +7,27 @@ transcriptions of the definitions.  The inverse-pair helpers that the
 table's plan replaced: `TypedDegreeTable.pairs` must name and fill the
 same pairs in the same order.  The parser that took one step per
 character: `Forest.parse` must give the same id, or fail with the same
-message, on every string.
+message, on every string.  The realization that built every part as a
+`SimpleGraph`/`Digraph`, glued them and validated the union again:
+`realize_table` must give the same graph, or raise the same error.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from unicover import Digraph, EdgeType, ParseError, SimpleGraph, TypeClass, TypedDegreeTable
+from unicover import (
+    Digraph,
+    EdgeType,
+    InternalInvariantError,
+    ParseError,
+    SimpleGraph,
+    SimplicityViolation,
+    TypeClass,
+    TypedDegreeTable,
+    havel_hakimi,
+    kleitman_wang,
+)
 from unicover.trees import Forest
 
 
@@ -129,3 +142,56 @@ def pair_support(table: TypedDegreeTable, rep: EdgeType) -> tuple[list[int], lis
     inn = dict(table.supports.get(rep.inverse(), ()))
     vertices = sorted(out.keys() | inn.keys())
     return vertices, [(out.get(v, 0), inn.get(v, 0)) for v in vertices]
+
+
+def glue_parts(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) -> SimpleGraph:
+    """`glue` recomputing every part's (bi)degrees and validating the union once more."""
+    supports, n = table.supports, table.n
+    plan = [(etype, [v for v, _ in supports.get(etype, ())], SimpleGraph) for etype in table.diagonal]
+    plan += [(rep, vertices, Digraph) for rep, vertices, _ in table.pairs]
+    if len(parts) != len(plan):
+        raise ValueError(f"the plan has {len(plan)} entries but {len(parts)} parts were given")
+    covered = set(table.diagonal)
+    owner: dict[tuple[int, int], EdgeType] = {}
+    for (etype, vertices, kind), part in zip(plan, parts):
+        name = f"({etype.near},{etype.far})"
+        if not isinstance(part, kind) or part.n != len(vertices):
+            raise ValueError(f"type {name} needs a {kind.__name__} part on {len(vertices)} vertices")
+        if (etype.near == etype.far) != (kind is SimpleGraph):
+            raise InternalInvariantError(f"the plan puts type {name} in the wrong kind of part")
+        if sorted(set(vertices)) != list(vertices) or (vertices and not 0 <= vertices[0] <= vertices[-1] < n):
+            raise InternalInvariantError(f"plan vertices of type {name} must ascend within 0..{n - 1}")
+        if kind is SimpleGraph:
+            got, want = part.degree_sequence(), tuple([c for _, c in supports.get(etype, ())])
+            ends = part.edges
+        else:
+            inverse = etype.inverse()
+            covered.update((etype, inverse))
+            out, inn = dict(supports.get(etype, ())), dict(supports.get(inverse, ()))
+            want = tuple([(out.pop(v, 0), inn.pop(v, 0)) for v in vertices])
+            # Counts left at vertices off the plan match no part.
+            got = part.bidegree_sequence() if not (out or inn) else None
+            ends = [(u, v) if u < v else (v, u) for u, v in part.arcs]
+        if got != want:
+            raise InternalInvariantError(f"part of type {name} does not have the table's degrees")
+        for u, v in ends:  # ascending plan vertices keep u < v
+            pair = (vertices[u], vertices[v])
+            clash = owner.get(pair)
+            if clash is not None:
+                raise SimplicityViolation(
+                    f"pair {pair} given by type ({clash.near},{clash.far}) and again by {name}"
+                )
+            owner[pair] = etype
+    uncovered = [etype for etype in supports if etype not in covered]
+    if uncovered:
+        raise InternalInvariantError(f"type ({uncovered[0].near},{uncovered[0].far}) is in no plan entry")
+    return SimpleGraph(n, owner)
+
+
+def realize_parts(table: TypedDegreeTable) -> SimpleGraph:
+    """`realize_table` as one `havel_hakimi` or `kleitman_wang` part per plan entry, then `glue_parts`."""
+    parts: list[SimpleGraph | Digraph] = [
+        havel_hakimi([c for _, c in table.supports[etype]]) for etype in table.diagonal
+    ]
+    parts += [kleitman_wang(counts) for _, _, counts in table.pairs]
+    return glue_parts(table, parts)

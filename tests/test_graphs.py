@@ -84,9 +84,10 @@ def test_read_graph_builds_one_graph(monkeypatch):
     built = []
 
     class CountingGraph(SimpleGraph):
-        def __init__(self, *args, **kwargs):
+        # Every construction, validating or trusted, indexes the graph once.
+        def _index(self, *args):
             built.append(1)
-            super().__init__(*args, **kwargs)
+            super()._index(*args)
 
     monkeypatch.setattr(graphs, "SimpleGraph", CountingGraph)
     text = "n=6\n" + "".join(f"{i} {i + 1}\n" for i in range(5)) + "0 5\n"
@@ -104,9 +105,10 @@ def test_read_graph_bounds_the_header_before_building(monkeypatch):
     built = []
 
     class CountingGraph(SimpleGraph):
-        def __init__(self, *args, **kwargs):
+        # Every construction, validating or trusted, indexes the graph once.
+        def _index(self, *args):
             built.append(1)
-            super().__init__(*args, **kwargs)
+            super()._index(*args)
 
     monkeypatch.setattr(graphs, "SimpleGraph", CountingGraph)
     monkeypatch.setattr(graphs, "MAX_VERTICES", 5)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from unicover import (
     TypedDegreeTable,
     build_table,
     canonical_code,
+    check_neighborhood,
     enumerate_graphs,
     erdos_gallai,
     fulkerson_chen_anstee,
@@ -28,8 +31,10 @@ from unicover import (
     verify_realization,
 )
 import unicover.realize
+from unicover.edge_types import table_from_ids
 from unicover.realize import realize_table
-from reference import havel_hakimi_dense, kleitman_wang_dense
+from unicover.trees import Forest, iter_collection
+from reference import havel_hakimi_dense, kleitman_wang_dense, realize_parts
 from treegen import hub_pairs, path_graph, random_graph, star_and_head_degrees
 
 DIAG = EdgeType("()", "()")
@@ -337,6 +342,8 @@ def test_realizers_agree_with_networkx_at_scale():
 
 
 def test_realizers_run_once_per_type_on_its_support(monkeypatch):
+    # One havel_hakimi call per diagonal type and one kleitman_wang call per
+    # pair with more than one arc; a pair with one arc is placed directly.
     calls: dict[str, list[int]] = {"hh": [], "kw": []}
 
     def counted(name, inner):
@@ -352,13 +359,128 @@ def test_realizers_run_once_per_type_on_its_support(monkeypatch):
     n, m = 200, 260
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     graph = SimpleGraph(n, rng.sample(pairs, m))
+    forced = 0
     for h in (1, 2, 3):
         calls["hh"].clear()
         calls["kw"].clear()
         trees = neighborhood_collection(graph, h)
         table = build_table(trees, h)
         realize_neighborhood(trees, h)
+        multi = [vertices for _, vertices, counts in table.pairs if sum(a for a, _ in counts) > 1]
+        forced += len(table.pairs) - len(multi)
         assert calls["hh"] == [len(table.supports[e]) for e in table.diagonal]
-        assert calls["kw"] == [len(vertices) for _, vertices, _ in table.pairs]
+        assert calls["kw"] == [len(vertices) for vertices in multi]
         assert calls["hh"] or calls["kw"]
         assert max(calls["hh"] + calls["kw"]) < n
+    assert forced
+
+
+def test_realize_table_builds_a_digraph_only_per_multi_arc_pair(monkeypatch):
+    digraphs, validated = [], []
+
+    class CountedDigraph(Digraph):
+        def __init__(self, *args):
+            digraphs.append(1)
+            super().__init__(*args)
+
+    def validating_init(graph, *args):
+        validated.append(graph)
+        init(graph, *args)
+
+    init = SimpleGraph.__init__
+    rng = random.Random(3)
+    pairs = [(u, v) for u in range(300) for v in range(u + 1, 300)]
+    table = build_table(neighborhood_collection(SimpleGraph(300, rng.sample(pairs, 400)), 3), 3)
+    monkeypatch.setattr(unicover.realize, "Digraph", CountedDigraph)
+    monkeypatch.setattr(SimpleGraph, "__init__", validating_init)
+    multi = [counts for _, _, counts in table.pairs if sum(a for a, _ in counts) > 1]
+    assert 0 < len(multi) < len(table.pairs)
+    graph = realize_table(table)
+    assert len(digraphs) == len(multi)
+    # havel_hakimi validates each diagonal part; the union is never re-validated.
+    assert len(validated) == len(table.diagonal)
+    assert all(part is not graph for part in validated)
+    assert graph == realize_parts(table)
+
+
+def test_forced_arcs_are_the_ones_kleitman_wang_picks():
+    for counts, arcs in unicover.realize._FORCED.items():
+        assert kleitman_wang(counts).arcs == arcs
+
+
+def _assert_same_graph(table):
+    got, want = realize_table(table), realize_parts(table)
+    assert (got.n, got.edges, got.adj) == (want.n, want.edges, want.adj)
+
+
+def test_realize_table_matches_the_part_by_part_reference_on_random_graphs():
+    rng = random.Random(23)
+    for n, m in ((1, 0), (12, 15), (60, 90), (150, 200), (150, 600)):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graph = SimpleGraph(n, rng.sample(pairs, m))
+        for h in (1, 2, 3, 4):
+            table = build_table(neighborhood_collection(graph, h), h)
+            assert check_neighborhood(table).graphical
+            _assert_same_graph(table)
+
+
+def test_realize_table_matches_the_part_by_part_reference_on_the_golden_corpus():
+    realizable = 0
+    for case in json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8")):
+        forest = Forest()
+        roots = [t for _, t in iter_collection(case["trees"].splitlines(), forest=forest)]
+        depth = max(1, max([forest.depths[t] for t in roots], default=0))
+        table = table_from_ids(forest, roots, depth)
+        if check_neighborhood(table).graphical:
+            realizable += 1
+            _assert_same_graph(table)
+    assert realizable > 50
+
+
+def test_trusted_graph_constructor_matches_the_validating_one():
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randrange(0, 30)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+        trusted, checked = SimpleGraph._from_checked(n, edges), SimpleGraph(n, edges)
+        assert (trusted.n, trusted.edges, trusted.adj) == (checked.n, checked.edges, checked.adj)
+        assert trusted == checked
+
+
+def _doctored_tables():
+    """Tables whose plans or supports were changed after building, one fault each."""
+    path = _path_table()
+    [(rep, vertices, counts)] = path.pairs
+    yield _doctored(path, pairs=((rep, vertices, tuple((b, a) for a, b in counts)),))
+    for bad in ((0, 0, 2), (2, 1, 0), (0, 1, 3), (-1, 0, 1)):
+        yield _doctored(path, pairs=((rep, bad, counts),))
+    yield _table(4, {DIAG: ((1, 1), (1, 1))})
+    yield _doctored(path, diagonal=(SKEW,), pairs=())
+    yield _doctored(path, pairs=((rep, (0, 1), counts[:2]),))
+    yield _doctored(path, pairs=())
+    yield _table(3, {DIAG: ((0, 1), (1, 1)), DIAG2: ((0, 1), (1, 1))})
+    supports = {SKEW: ((0, 1), (1, 1)), SKEW.inverse(): ((0, 1), (1, 1))}
+    yield _table(2, supports, [(SKEW, (0, 1), ((1, 1), (1, 1)))])
+
+
+def test_placer_refuses_a_loop_or_an_end_off_the_part():
+    table = _path_table()
+    [(rep, vertices, _)] = table.pairs
+    for arcs in ([(0, 1), (1, 1)], [(0, 1), (2, 3)], [(-1, 1)]):
+        with pytest.raises(InternalInvariantError, match="loop or leaves its 3 vertices"):
+            unicover.realize._place(table, [(rep, vertices, arcs, True)])
+
+
+def _raised(call, *args):
+    with pytest.raises(Exception) as err:
+        call(*args)
+    return type(err.value), str(err.value)
+
+
+def test_realize_table_refuses_doctored_tables_as_glue_did():
+    for table in _doctored_tables():
+        got, want = _raised(realize_table, table), _raised(realize_parts, table)
+        assert got == want
+        # cli.main reports a bare ValueError as bad input, not as a bug.
+        assert issubclass(got[0], InternalInvariantError), got

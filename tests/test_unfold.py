@@ -67,6 +67,32 @@ def test_cover_ball_builds_only_its_own_tree(monkeypatch):
     assert made == [()]
 
 
+def test_cover_ball_matches_the_whole_collection():
+    rng = random.Random(31)
+    for _ in range(12):
+        g = random_graph(rng, rng.randrange(1, 25), rng.random() * 0.3)
+        for radius in (0, 1, 2, 3, 4):
+            balls = neighborhood_collection(g, radius)
+            for v in range(g.n):
+                assert cover_ball(g, v, radius) == balls[v]
+
+
+def test_cover_ball_unfolds_only_its_own_ball(monkeypatch):
+    # An isolated vertex of a large graph: only its own leaf is interned.
+    kids = []
+    node = unicover.trees.Forest.node
+
+    def counted(forest, child_ids):
+        child_ids = tuple(child_ids)
+        kids.append(child_ids)
+        return node(forest, child_ids)
+
+    monkeypatch.setattr(unicover.trees.Forest, "node", counted)
+    g = SimpleGraph(2001, [(v, v + 1) for v in range(1, 2000)])
+    assert cover_ball(g, 0, 3) == RootedTree()
+    assert set(kids) == {()}
+
+
 def test_collection_of_empty_graph():
     balls = neighborhood_collection(SimpleGraph(3), 4)
     assert [canonical_code(t) for t in balls] == ["()"] * 3
