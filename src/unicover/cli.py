@@ -18,10 +18,8 @@ from typing import Sequence
 from .edge_types import table_from_ids
 from .errors import (
     DepthError,
-    GraphFormatError,
     InternalInvariantError,
     NotGraphical,
-    ParseError,
     SizeError,
     UnicoverError,
 )
@@ -156,6 +154,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UnicoverError("the graph and the trees cannot both be read from stdin ('-')")
     graph = read_graph(_read_lines(args.graph))
     forest, roots, depth = _load_trees(args.trees, args.depth)
+    if len(roots) != graph.n:
+        raise UnicoverError(f"{len(roots)} trees for a graph on {graph.n} vertices")
     bad = first_mismatch_in(forest, graph, roots, depth)
     if bad is None:
         print(f"ok: all {graph.n} vertices match at depth {depth}", file=sys.stderr)
@@ -242,7 +242,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error (please report): {exc}", file=sys.stderr)
         return 3
-    except (ParseError, GraphFormatError, DepthError, SizeError, UnicoverError, ValueError) as exc:
+    except UnicoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a bug, never a verdict

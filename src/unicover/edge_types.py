@@ -10,8 +10,8 @@ endpoint.
 Both pieces are computed on interned ids of a :class:`~unicover.trees.Forest`
 (far = the child's id, near = the node over the other children's truncated
 ids).  Each distinct type's codes, class and sort key are worked out once,
-and so is the plan of diagonal types and inverse pairs that the check and
-the realizer follow.
+and so is the table's plan: one entry per diagonal type and per inverse
+pair, the unit that the check tests and the realizer builds.
 
 The table stores each type by its support only, the vertices with a nonzero
 count, so a type costs time and memory in proportion to its support, never
@@ -79,13 +79,8 @@ def _edge_pairs(forest: Forest, child_ids: Sequence[int], depth: int) -> list[tu
     """
     if depth == 1:
         return [(forest.leaf, c) for c in child_ids]
-    # Most children are their own cut or already cut; only the rest pay for
-    # a call into Forest.truncate.
-    depths, memo, low = forest.depths, forest._cuts, depth - 2
-    cuts = []
-    for c in child_ids:
-        cut = c if depths[c] <= low else memo.get((c, low))
-        cuts.append(forest.truncate(c, low) if cut is None else cut)
+    truncate, low = forest.truncate, depth - 2
+    cuts = [truncate(c, low) for c in child_ids]
     near: dict[int, int] = {}
     for j, c in enumerate(child_ids):
         if c not in near:
@@ -97,32 +92,33 @@ class TypedDegreeTable(FrozenSlots):
     """Per-vertex, per-type counts of root-incident edges.
 
     `supports` maps each occurring type, in sort order, to its support: the
-    `(vertex, count)` pairs with a nonzero count, in vertex order.  `totals`
-    holds the count sums.  The dense length-`n` vectors (`degrees`,
-    :meth:`degree_vector`) are built on request only.
+    `(vertex, count)` pairs with a nonzero count, in vertex order.  The
+    dense length-`n` vectors (`degrees`, :meth:`degree_vector`) are built
+    on request only.
 
-    The plan that the check and the realizer follow, both parts in sort
-    order: `diagonal` lists the diagonal types, and `pairs` holds one
-    `(rep, vertices, counts)` per inverse pair: its A-class member, the
-    vertices where either member occurs (ascending), and their (out, in)
-    counts, out being `rep`'s count and in its inverse's.
+    `plan` is what the check tests and the realizer builds, one
+    `(etype, vertices, counts)` entry per unit: first each diagonal type in
+    sort order, its support split into its vertices and its counts; then
+    each inverse pair in sort order, named by its A-class member whether or
+    not that occurs, with the vertices where either member occurs
+    (ascending) and their (out, in) counts, out being the A member's count
+    and in its inverse's.  An entry is an inverse pair exactly when
+    `etype.near != etype.far`.
 
     Immutable (see :class:`~unicover.trees.FrozenSlots`); tables compare
     and hash by identity.
     """
 
-    __slots__ = ("n", "depth", "supports", "totals", "diagonal", "pairs")
+    __slots__ = ("n", "depth", "supports", "plan")
 
     def __init__(
         self,
         n: int,
         depth: int,
         supports: dict[EdgeType, tuple[tuple[int, int], ...]],
-        totals: dict[EdgeType, int],
-        diagonal: tuple[EdgeType, ...],
-        pairs: tuple[tuple[EdgeType, tuple[int, ...], tuple[tuple[int, int], ...]], ...],
+        plan: tuple[tuple[EdgeType, tuple[int, ...], tuple], ...],
     ) -> None:
-        for name, value in zip(self.__slots__, (n, depth, supports, totals, diagonal, pairs)):
+        for name, value in zip(self.__slots__, (n, depth, supports, plan)):
             object.__setattr__(self, name, value)
 
     def occurring_types(self) -> list[EdgeType]:
@@ -150,10 +146,10 @@ class TypedDegreeTable(FrozenSlots):
                     "r": etype.near,
                     "s": etype.far,
                     "class": etype.klass.value,
-                    "N": self.totals[etype],
+                    "N": sum([c for _, c in support]),
                     "degrees": list(self.degree_vector(etype)),
                 }
-                for etype in self.occurring_types()
+                for etype, support in self.supports.items()
             ],
         }
 
@@ -199,18 +195,17 @@ def table_from_ids(forest: Forest, roots: Sequence[int], depth: int) -> TypedDeg
     etypes = {pair: EdgeType(codes[pair[0]], codes[pair[1]]) for pair in support}
     order = sorted(support, key=lambda p: (keys[p[0]], keys[p[1]]))
     supports = {etypes[p]: tuple(support[p]) for p in order}
-    totals = {etype: sum(c for _, c in entries) for etype, entries in supports.items()}
-    diagonal = tuple(etypes[p] for p in order if p[0] == p[1])
+    # A diagonal type's support is never empty, so it splits into two tuples.
+    plan = [(etypes[p], *zip(*supports[etypes[p]])) for p in order if p[0] == p[1]]
     # An inverse pair is named by its A-class member, whether or not it occurs.
     reps = sorted(
         {(near, far) if keys[near] < keys[far] else (far, near) for near, far in order if near != far},
         key=lambda p: (keys[p[0]], keys[p[1]]),
     )
-    pairs = []
     for near, far in reps:
         out = dict(support.get((near, far), ()))
         inn = dict(support.get((far, near), ()))
         vertices = tuple(sorted(out.keys() | inn.keys()))
         rep = etypes.get((near, far)) or EdgeType(codes[near], codes[far])
-        pairs.append((rep, vertices, tuple((out.get(v, 0), inn.get(v, 0)) for v in vertices)))
-    return TypedDegreeTable(len(roots), depth, supports, totals, diagonal, tuple(pairs))
+        plan.append((rep, vertices, tuple((out.get(v, 0), inn.get(v, 0)) for v in vertices)))
+    return TypedDegreeTable(len(roots), depth, supports, tuple(plan))

@@ -1,11 +1,11 @@
 """Build a graph realizing a typed degree table.
 
-Each diagonal type gets a simple graph with the prescribed degree vector,
-each inverse pair of non-diagonal types a loopless digraph with the
-prescribed (out, in) vectors, and the union of the edge sets is the
-realization.  The union is provably simple for tables harvested from any
-graph, so a collision while placing the parts is treated as an internal
-bug, never as bad input.
+Each entry of the table's plan becomes one part: a diagonal type a simple
+graph with the prescribed degree vector, an inverse pair of non-diagonal
+types a loopless digraph with the prescribed (out, in) vectors.  The union
+of the edge sets is the realization.  It is provably simple for tables
+harvested from any graph, so a collision while placing the parts is
+treated as an internal bug, never as bad input.
 
 Both realizers are deterministic greedies; identical inputs produce
 identical edge lists byte for byte.  :func:`realize_table` takes one pass
@@ -40,9 +40,9 @@ __all__ = [
     "realize_table",
 ]
 
-# A part to place: its type, its vertices, and its edges (arcs when
-# directed) in local labels, part vertex j being the j-th vertex.
-_Part = tuple[EdgeType, Sequence[int], Iterable[tuple[int, int]], bool]
+# A part to place: its plan entry's type and vertices, and its edges (arcs
+# for an inverse pair) in local labels, part vertex j being the j-th vertex.
+_Part = tuple[EdgeType, Sequence[int], Iterable[tuple[int, int]]]
 
 # Counts of a pair with one arc, and that arc in local labels.
 _FORCED = {((1, 0), (0, 1)): ((0, 1),), ((0, 1), (1, 0)): ((1, 0),)}
@@ -164,16 +164,6 @@ def _name(etype: EdgeType) -> str:
     return f"({etype.near},{etype.far})"
 
 
-def _plan(table: TypedDegreeTable) -> Iterator[tuple[EdgeType, Sequence[int], Sequence, bool]]:
-    """(type, vertices, counts, directed) per plan entry: the diagonal types, then the pairs."""
-    supports = table.supports
-    for etype in table.diagonal:
-        support = supports.get(etype, ())
-        yield etype, [v for v, _ in support], [c for _, c in support], False
-    for rep, vertices, counts in table.pairs:
-        yield rep, vertices, counts, True
-
-
 def _place(table: TypedDegreeTable, parts: Iterable[_Part]) -> SimpleGraph:
     """Union the parts of `table`'s plan, each checked against the table once.
 
@@ -184,12 +174,11 @@ def _place(table: TypedDegreeTable, parts: Iterable[_Part]) -> SimpleGraph:
     order.
     """
     supports, n = table.supports, table.n
-    covered = set(table.diagonal)
+    covered: set[tuple[str, str]] = set()
     owner: dict[tuple[int, int], EdgeType] = {}
-    for etype, vertices, ends, directed in parts:
+    for etype, vertices, ends in parts:
         near, far = etype
-        if (near == far) == directed:
-            raise InternalInvariantError(f"the plan puts type {_name(etype)} in the wrong kind of part")
+        directed = near != far
         k = len(vertices)
         if k and not (0 <= vertices[0] and vertices[-1] < n and sorted(set(vertices)) == list(vertices)):
             raise InternalInvariantError(f"plan vertices of type {_name(etype)} must ascend within 0..{n - 1}")
@@ -205,17 +194,13 @@ def _place(table: TypedDegreeTable, parts: Iterable[_Part]) -> SimpleGraph:
             tails[a] = tails.get(a, 0) + 1
             heads[b] = heads.get(b, 0) + 1
             placed.append((a, b) if a < b else (b, a))  # ascending plan vertices keep a != b
-        if directed:
-            # A named tuple equals the plain tuple of its fields, so this
-            # finds and covers the inverse type without building it.
-            inverse = (far, near)
-            covered.update((etype, inverse))
-            fits = (
-                tuple(sorted(tails.items())) == supports.get(etype, ())
-                and tuple(sorted(heads.items())) == supports.get(inverse, ())
-            )
-        else:
-            fits = tuple(sorted(tails.items())) == supports.get(etype, ())
+        # A named tuple equals the plain tuple of its fields, so this finds
+        # and covers the inverse type without building it.
+        inverse = (far, near)
+        covered.update((etype, inverse))
+        fits = tuple(sorted(tails.items())) == supports.get(etype, ()) and (
+            not directed or tuple(sorted(heads.items())) == supports.get(inverse, ())
+        )
         if not fits:
             raise InternalInvariantError(f"part of type {_name(etype)} does not have the table's degrees")
         for pair in placed:
@@ -234,30 +219,29 @@ def _place(table: TypedDegreeTable, parts: Iterable[_Part]) -> SimpleGraph:
 def glue(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) -> SimpleGraph:
     """Union the parts realized along `table`'s plan into one simple graph on `table.n` vertices.
 
-    `parts` follows the plan: one SimpleGraph per `table.diagonal` type, then
-    one Digraph per `table.pairs` entry, each on that entry's vertices (part
-    vertex j is the j-th); arc directions are forgotten.  A wrong part count,
-    kind or size raises ValueError.  Parts realized from a checked table
-    never trip the other checks, so each indicates a bug: a vertex pair given
-    twice (by two parts, or by both arcs of one Digraph part) raises
-    SimplicityViolation; plan vertices that do not ascend within 0..n-1, a
-    part whose (bi)degrees differ from `table.supports` (a pair's (out, in)
-    being its rep's count and its inverse's), a plan entry of the wrong kind
-    for its type, or a type that no plan entry covers raise
-    InternalInvariantError.
+    `parts` holds one part per `table.plan` entry: a SimpleGraph for a
+    diagonal type, a Digraph for an inverse pair, each on that entry's
+    vertices (part vertex j is the j-th); arc directions are forgotten.  A
+    wrong part count, kind or size raises ValueError.  Parts realized from a
+    checked table never trip the other checks, so each indicates a bug: a
+    vertex pair given twice (by two parts, or by both arcs of one Digraph
+    part) raises SimplicityViolation; plan vertices that do not ascend
+    within 0..n-1, a part whose (bi)degrees differ from `table.supports` (a
+    pair's (out, in) being its A member's count and its inverse's), or a
+    type that no plan entry covers raise InternalInvariantError.
     """
-    entries = len(table.diagonal) + len(table.pairs)
-    if len(parts) != entries:
-        raise ValueError(f"the plan has {entries} entries but {len(parts)} parts were given")
+    if len(parts) != len(table.plan):
+        raise ValueError(f"the plan has {len(table.plan)} entries but {len(parts)} parts were given")
 
     def checked() -> Iterator[_Part]:
-        for (etype, vertices, _, directed), part in zip(_plan(table), parts):
+        for (etype, vertices, _), part in zip(table.plan, parts):
+            directed = etype.near != etype.far
             kind = Digraph if directed else SimpleGraph
             if not isinstance(part, kind) or part.n != len(vertices):
                 raise ValueError(
                     f"type {_name(etype)} needs a {kind.__name__} part on {len(vertices)} vertices"
                 )
-            yield etype, vertices, part.arcs if directed else part.edges, directed
+            yield etype, vertices, part.arcs if directed else part.edges
 
     return _place(table, checked())
 
@@ -283,11 +267,11 @@ def realize_table(table: TypedDegreeTable) -> SimpleGraph:
     # Each type is realized on its support alone, relabelled in vertex order,
     # so the lowest-index tie-breaks pick the same edges as on all n vertices.
     def realized() -> Iterator[_Part]:
-        for etype, vertices, counts, directed in _plan(table):
-            if not directed:
+        for etype, vertices, counts in table.plan:
+            if etype.near == etype.far:
                 ends = havel_hakimi(counts).edges
             else:
                 ends = _FORCED.get(counts) or kleitman_wang(counts).arcs
-            yield etype, vertices, ends, directed
+            yield etype, vertices, ends
 
     return _place(table, realized())

@@ -169,9 +169,9 @@ def fulkerson_chen_anstee(pairs: Sequence[tuple[int, int]]) -> tuple[bool, int |
 def check_neighborhood(table: TypedDegreeTable) -> Verdict:
     """Apply the per-type conditions to a table, collecting every failure.
 
-    Following the table's plan, each of its `diagonal` types must have a
-    graphical count vector (an odd total is reported as its own failure
-    kind), and each of its `pairs` a digraphical (out, in) pair vector
+    Each entry of the table's plan is tested in plan order: a diagonal
+    type's counts must be graphical (an odd total is reported as its own
+    failure kind), and an inverse pair's (out, in) counts digraphical
     (unequal totals likewise get their own kind).  Failures are collected
     exhaustively, never short-circuited.  Each type is tested on its
     support only: vertices with no edges of the type cannot change the
@@ -179,20 +179,17 @@ def check_neighborhood(table: TypedDegreeTable) -> Verdict:
     an inverse pair's joint support O(s log s).
     """
     failures: list[FailureRecord] = []
-    for etype in table.diagonal:
-        if table.totals[etype] % 2 == 1:
-            failures.append(FailureRecord(etype, FailureKind.ODD_DIAGONAL_SUM))
-            continue
-        k = _first_subsum_violation([c for _, c in table.supports[etype]])
+    for etype, _, counts in table.plan:
+        if etype.near == etype.far:
+            if sum(counts) % 2 == 1:
+                failures.append(FailureRecord(etype, FailureKind.ODD_DIAGONAL_SUM))
+                continue
+            kind, k = FailureKind.EG_VIOLATION, _first_subsum_violation(counts)
+        else:
+            if sum(a for a, _ in counts) != sum(b for _, b in counts):
+                failures.append(FailureRecord(etype, FailureKind.UNBALANCED_PAIR))
+                continue
+            kind, k = FailureKind.DIRECTED_EG_VIOLATION, _first_directed_violation(counts)
         if k is not None:
-            failures.append(FailureRecord(etype, FailureKind.EG_VIOLATION, k))
-
-    for rep, _, pairs in table.pairs:
-        if sum(a for a, _ in pairs) != sum(b for _, b in pairs):
-            failures.append(FailureRecord(rep, FailureKind.UNBALANCED_PAIR))
-            continue
-        k = _first_directed_violation(pairs)
-        if k is not None:
-            failures.append(FailureRecord(rep, FailureKind.DIRECTED_EG_VIOLATION, k))
-
+            failures.append(FailureRecord(etype, kind, k))
     return Verdict(graphical=not failures, failures=tuple(failures))

@@ -273,11 +273,14 @@ class Forest:
         """Id of the subtree of all nodes at depth <= k; memoized per (id, k)."""
         if k < 0:
             raise ValueError("truncation depth must be >= 0")
-        depths, cuts, kids, leaf = self.depths, self._cuts, self.kids, self.leaf
-        if depths[tid] <= k:
+        if self.depths[tid] <= k:
             return tid
         if k == 0:
-            return leaf
+            return self.leaf
+        cut = self._cuts.get((tid, k))
+        if cut is not None:
+            return cut
+        depths, cuts, kids, leaf = self.depths, self._cuts, self.kids, self.leaf
         # Only pairs (t, j) with depths[t] > j >= 1 are stacked and memoized.
         # A child cut to `low` is itself when it is no deeper than `low`, the
         # leaf when `low` is 0, and its memoized cut otherwise.

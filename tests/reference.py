@@ -4,7 +4,7 @@ The quadratic scans and dense realizers that the support-only code
 replaced: the linear subsum scans must return the same smallest witness k,
 and the heap-based realizers the same edge lists, as these direct
 transcriptions of the definitions.  The inverse-pair helpers that the
-table's plan replaced: `TypedDegreeTable.pairs` must name and fill the
+table's plan replaced: `TypedDegreeTable.plan` must name and fill the
 same pairs in the same order.  The parser that took one step per
 character: `Forest.parse` must give the same id, or fail with the same
 message, on every string.  The realization that built every part as a
@@ -147,21 +147,19 @@ def pair_support(table: TypedDegreeTable, rep: EdgeType) -> tuple[list[int], lis
 def glue_parts(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) -> SimpleGraph:
     """`glue` recomputing every part's (bi)degrees and validating the union once more."""
     supports, n = table.supports, table.n
-    plan = [(etype, [v for v, _ in supports.get(etype, ())], SimpleGraph) for etype in table.diagonal]
-    plan += [(rep, vertices, Digraph) for rep, vertices, _ in table.pairs]
-    if len(parts) != len(plan):
-        raise ValueError(f"the plan has {len(plan)} entries but {len(parts)} parts were given")
-    covered = set(table.diagonal)
+    if len(parts) != len(table.plan):
+        raise ValueError(f"the plan has {len(table.plan)} entries but {len(parts)} parts were given")
+    covered: set[EdgeType] = set()
     owner: dict[tuple[int, int], EdgeType] = {}
-    for (etype, vertices, kind), part in zip(plan, parts):
+    for (etype, vertices, _), part in zip(table.plan, parts):
         name = f"({etype.near},{etype.far})"
+        kind = SimpleGraph if etype.near == etype.far else Digraph
         if not isinstance(part, kind) or part.n != len(vertices):
             raise ValueError(f"type {name} needs a {kind.__name__} part on {len(vertices)} vertices")
-        if (etype.near == etype.far) != (kind is SimpleGraph):
-            raise InternalInvariantError(f"the plan puts type {name} in the wrong kind of part")
         if sorted(set(vertices)) != list(vertices) or (vertices and not 0 <= vertices[0] <= vertices[-1] < n):
             raise InternalInvariantError(f"plan vertices of type {name} must ascend within 0..{n - 1}")
         if kind is SimpleGraph:
+            covered.add(etype)
             got, want = part.degree_sequence(), tuple([c for _, c in supports.get(etype, ())])
             ends = part.edges
         else:
@@ -191,7 +189,7 @@ def glue_parts(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) 
 def realize_parts(table: TypedDegreeTable) -> SimpleGraph:
     """`realize_table` as one `havel_hakimi` or `kleitman_wang` part per plan entry, then `glue_parts`."""
     parts: list[SimpleGraph | Digraph] = [
-        havel_hakimi([c for _, c in table.supports[etype]]) for etype in table.diagonal
+        havel_hakimi([c for _, c in table.supports[etype]]) if etype.near == etype.far else kleitman_wang(counts)
+        for etype, _, counts in table.plan
     ]
-    parts += [kleitman_wang(counts) for _, _, counts in table.pairs]
     return glue_parts(table, parts)

@@ -55,6 +55,19 @@ def test_no_function_calls_itself():
     assert offenders == {}
 
 
+def test_only_trees_reads_the_forest_internals():
+    # Forest's interning tables and memos are its own; other modules go through its methods.
+    private = {"_cuts", "_ids", "_trees"}
+    readers = {
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "trees.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    }
+    assert readers == set()
+
+
 def test_guard_sees_direct_and_method_recursion():
     code = (
         "def walk(t):\n    return [walk(c) for c in t]\n"

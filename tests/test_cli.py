@@ -368,15 +368,18 @@ def test_check_on_a_very_deep_pair_is_a_verdict(tmp_path, capsys):
 
 
 def test_unexpected_exception_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
-    def boom(_args):
-        raise RuntimeError("boom")
+    # Only a UnicoverError is bad input; a bare ValueError is a bug like any other.
+    for error in (RuntimeError, ValueError):
 
-    monkeypatch.setattr(cli, "cmd_check", boom)
-    trees = write(tmp_path / "t.txt", "(())\n(())\n")
-    code, out, err = run(capsys, "check", trees)
-    assert code == 3
-    assert out == ""
-    assert err.splitlines() == ["internal error (please report): RuntimeError: boom"]
+        def boom(_args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_check", boom)
+        trees = write(tmp_path / "t.txt", "(())\n(())\n")
+        code, out, err = run(capsys, "check", trees)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [f"internal error (please report): {error.__name__}: boom"]
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

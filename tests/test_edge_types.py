@@ -10,6 +10,7 @@ from unicover import (
     TypeClass,
     build_table,
     canonical_code,
+    check_neighborhood,
     erdos_gallai,
     mutate_collection,
     neighborhood_collection,
@@ -18,6 +19,12 @@ from unicover import (
 from unicover.trees import depth
 import reference
 from treegen import cycle_graph, random_graph, random_tree, shuffle_tree
+
+
+def _total(table, etype):
+    """The edge count `N` that the table's JSON form gives for `etype`."""
+    [row] = [row for row in table.to_json_dict()["types"] if (row["r"], row["s"]) == etype]
+    return row["N"]
 
 
 def test_single_edge_type_is_trivial_diagonal():
@@ -50,7 +57,7 @@ def test_type_agrees_with_cycle_harvest():
     [etype] = table.occurring_types()
     assert (etype.near, etype.far) == ("(())", "(())")
     assert table.degrees[etype] == (2, 2, 2, 2)
-    assert table.totals[etype] == 8
+    assert _total(table, etype) == 8
 
 
 def test_edge_type_bounds_and_errors():
@@ -87,7 +94,7 @@ def test_build_table_single_edge_pair():
     [etype] = table.occurring_types()
     assert (etype.near, etype.far) == ("()", "()")
     assert table.degrees[etype] == (1, 1)
-    assert table.totals[etype] == 2
+    assert _total(table, etype) == 2
     assert table.supports[etype] == ((0, 1), (1, 1))
 
 
@@ -97,29 +104,28 @@ def test_build_table_mixed_pair():
     skew = EdgeType("()", "(())")
     assert set(table.occurring_types()) == {diag, skew}
     assert table.degrees[diag] == (1, 0)
-    assert table.totals[skew] == 1
+    assert _total(table, skew) == 1
     assert table.degree_vector(skew.inverse()) == (0, 0)
     assert table.supports == {diag: ((0, 1),), skew: ((1, 1),)}
-    assert table.diagonal == (diag,)
-    assert table.pairs == ((skew, (1,), ((1, 0),)),)
+    assert table.plan == ((diag, (0,), (1,)), (skew, (1,), ((1, 0),)))
 
 
 def test_inverse_pairs_name_each_pair_by_its_a_member():
     skew = EdgeType("()", "(())")
     only_a = build_table([parse_tree("(())"), parse_tree("((()))")], 2)
     assert only_a.occurring_types() == [EdgeType("()", "()"), skew]
-    assert [rep for rep, _, _ in only_a.pairs] == [skew]
+    assert [rep for rep, _, _ in only_a.plan if rep.near != rep.far] == [skew]
     only_b = build_table([parse_tree("(()(()))")], 2)
     assert skew.inverse() in only_b.degrees and skew not in only_b.degrees
-    assert [rep for rep, _, _ in only_b.pairs] == [skew]
-    assert only_b.pairs == ((skew, (0,), ((0, 1),)),)
+    assert [rep for rep, _, _ in only_b.plan if rep.near != rep.far] == [skew]
+    assert only_b.plan[-1:] == ((skew, (0,), ((0, 1),)),)
 
 
 def test_plan_matches_the_reference_pairing():
     # Harvests have both members of every pair; mutants also give pairs
     # whose A member never occurs.
     rng = random.Random(41)
-    b_only = 0
+    b_only = failing = 0
     for _ in range(80):
         graph = random_graph(rng, rng.randrange(1, 12), rng.choice((0.2, 0.4, 0.6)))
         h = rng.randint(1, 3)
@@ -128,13 +134,28 @@ def test_plan_matches_the_reference_pairing():
             table = build_table(trees, h)
             assert table.occurring_types() == sorted(table.supports, key=EdgeType.sort_key)
             diagonal = [e for e in table.occurring_types() if e.klass is TypeClass.DIAGONAL]
-            assert list(table.diagonal) == diagonal
+            assert [etype for etype, _, _ in table.plan[: len(diagonal)]] == diagonal
+            for etype, vertices, counts in table.plan[: len(diagonal)]:
+                assert tuple(zip(vertices, counts)) == table.supports[etype]
             reps = reference.inverse_pairs(table)
-            assert [rep for rep, _, _ in table.pairs] == reps
-            for rep, vertices, counts in table.pairs:
+            assert [rep for rep, _, _ in table.plan[len(diagonal) :]] == reps
+            for rep, vertices, counts in table.plan[len(diagonal) :]:
                 assert (list(vertices), list(counts)) == reference.pair_support(table, rep)
             b_only += sum(rep not in table.supports for rep in reps)
-    assert b_only > 0
+            # Each occurring type is in one entry: its own, or its A member's.
+            entries: dict[EdgeType, list[EdgeType]] = {}
+            for etype, _, _ in table.plan:
+                for member in {etype, etype.inverse()}:
+                    entries.setdefault(member, []).append(etype)
+            for etype in table.supports:
+                assert entries[etype] == [etype.inverse() if etype.klass is TypeClass.B else etype]
+            at = {etype: i for i, (etype, _, _) in enumerate(table.plan)}
+            failed = [at[f.type_key] for f in check_neighborhood(table).failures]
+            assert failed == sorted(set(failed))
+            failing += bool(failed)
+            rows = table.to_json_dict()["types"]
+            assert [row["N"] for row in rows] == [sum(c for _, c in s) for s in table.supports.values()]
+    assert b_only > 0 and failing > 0
 
 
 def test_build_table_rejects_deep_trees_listing_indices():
@@ -161,7 +182,7 @@ def test_row_sums_match_degree_sequence():
         # the stored supports are the dense vectors' nonzero entries, in vertex order
         for et, vec in table.degrees.items():
             assert table.supports[et] == tuple((i, d) for i, d in enumerate(vec) if d)
-            assert table.totals[et] == sum(vec)
+            assert _total(table, et) == sum(vec)
 
 
 def test_types_invariant_under_isomorphic_reencoding():

@@ -79,9 +79,18 @@ def test_kleitman_wang_exact_on_every_digraphical_sequence_up_to_four():
 
 def _table(n, supports, pairs=()):
     """A hand-made table: the diagonal types of `supports` in their given order, then `pairs`."""
-    totals = {etype: sum(c for _, c in support) for etype, support in supports.items()}
-    diagonal = tuple(etype for etype in supports if etype.near == etype.far)
-    return TypedDegreeTable(n, 1, supports, totals, diagonal, tuple(pairs))
+    diagonal = [(etype, *zip(*support)) for etype, support in supports.items() if etype.near == etype.far]
+    return TypedDegreeTable(n, 1, supports, tuple(diagonal) + tuple(pairs))
+
+
+def _diagonal(table):
+    """The types of the table's diagonal plan entries."""
+    return tuple(etype for etype, _, _ in table.plan if etype.near == etype.far)
+
+
+def _pairs(table):
+    """The table's inverse-pair plan entries."""
+    return tuple(entry for entry in table.plan if entry[0].near != entry[0].far)
 
 
 def _doctored(table, **fields):
@@ -98,13 +107,13 @@ def _skew_table(vertices, n):
 
 def _path_table():
     table = build_table(neighborhood_collection(path_graph(3), 2), 2)
-    assert table.diagonal == () and [rep for rep, _, _ in table.pairs] == [SKEW]
+    assert _diagonal(table) == () and [rep for rep, _, _ in _pairs(table)] == [SKEW]
     return table
 
 
 def test_glue_single_diagonal_part():
     table = build_table([parse_tree("(())")] * 2, 1)
-    assert table.diagonal == (DIAG,)
+    assert _diagonal(table) == (DIAG,)
     assert glue(table, [SimpleGraph(2, [(0, 1)])]) == SimpleGraph(2, [(0, 1)])
 
 
@@ -158,46 +167,40 @@ def test_glue_validates_part_kinds_and_sizes():
 
 def test_realize_table_refuses_swapped_pair_counts():
     table = _path_table()
-    [(rep, vertices, counts)] = table.pairs
+    [(rep, vertices, counts)] = table.plan
     swapped = tuple((b, a) for a, b in counts)
     with pytest.raises(InternalInvariantError, match="degrees"):
-        realize_table(_doctored(table, pairs=((rep, vertices, swapped),)))
+        realize_table(_doctored(table, plan=((rep, vertices, swapped),)))
 
 
 def test_glue_refuses_plan_vertices_that_do_not_ascend_within_range():
     table = _path_table()
-    [(rep, vertices, counts)] = table.pairs
+    [(rep, vertices, counts)] = table.plan
     part = Digraph(3, [(0, 1), (2, 1)])
     assert glue(table, [part]).edges == ((0, 1), (1, 2))
     for bad in ((0, 0, 2), (2, 1, 0), (0, 1, 3), (-1, 0, 1)):
         with pytest.raises(InternalInvariantError, match="ascend"):
-            glue(_doctored(table, pairs=((rep, bad, counts),)), [part])
+            glue(_doctored(table, plan=((rep, bad, counts),)), [part])
     with pytest.raises(InternalInvariantError, match="ascend"):
         glue(_table(4, {DIAG: ((1, 1), (1, 1))}), [SimpleGraph(2, [(0, 1)])])
 
 
 def test_realize_table_refuses_a_type_in_no_plan_entry():
     with pytest.raises(InternalInvariantError, match="no plan entry"):
-        realize_table(_doctored(_path_table(), pairs=()))
+        realize_table(_doctored(_path_table(), plan=()))
 
 
 def test_glue_refuses_a_part_with_other_degrees():
     cycle = build_table([parse_tree("((())(()))")] * 4, 2)
-    assert len(cycle.diagonal) == 1 and cycle.pairs == ()
+    assert len(_diagonal(cycle)) == 1 and _pairs(cycle) == ()
     assert glue(cycle, [SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])]).edges
     with pytest.raises(InternalInvariantError, match="degrees"):
         glue(cycle, [SimpleGraph(4, [(0, 1), (2, 3)])])
     # A pair whose plan leaves out a vertex where its types occur.
     table = _path_table()
-    [(rep, _, counts)] = table.pairs
+    [(rep, _, counts)] = table.plan
     with pytest.raises(InternalInvariantError, match="degrees"):
-        glue(_doctored(table, pairs=((rep, (0, 1), counts[:2]),)), [Digraph(2, [(0, 1)])])
-
-
-def test_glue_refuses_a_plan_entry_of_the_wrong_kind():
-    table = _path_table()
-    with pytest.raises(InternalInvariantError, match="wrong kind"):
-        glue(_doctored(table, diagonal=(SKEW,), pairs=()), [SimpleGraph(2, [(0, 1)])])
+        glue(_doctored(table, plan=((rep, (0, 1), counts[:2]),)), [Digraph(2, [(0, 1)])])
 
 
 def test_realize_single_edge():
@@ -366,9 +369,9 @@ def test_realizers_run_once_per_type_on_its_support(monkeypatch):
         trees = neighborhood_collection(graph, h)
         table = build_table(trees, h)
         realize_neighborhood(trees, h)
-        multi = [vertices for _, vertices, counts in table.pairs if sum(a for a, _ in counts) > 1]
-        forced += len(table.pairs) - len(multi)
-        assert calls["hh"] == [len(table.supports[e]) for e in table.diagonal]
+        multi = [vertices for _, vertices, counts in _pairs(table) if sum(a for a, _ in counts) > 1]
+        forced += len(_pairs(table)) - len(multi)
+        assert calls["hh"] == [len(table.supports[e]) for e in _diagonal(table)]
         assert calls["kw"] == [len(vertices) for vertices in multi]
         assert calls["hh"] or calls["kw"]
         assert max(calls["hh"] + calls["kw"]) < n
@@ -393,12 +396,12 @@ def test_realize_table_builds_a_digraph_only_per_multi_arc_pair(monkeypatch):
     table = build_table(neighborhood_collection(SimpleGraph(300, rng.sample(pairs, 400)), 3), 3)
     monkeypatch.setattr(unicover.realize, "Digraph", CountedDigraph)
     monkeypatch.setattr(SimpleGraph, "__init__", validating_init)
-    multi = [counts for _, _, counts in table.pairs if sum(a for a, _ in counts) > 1]
-    assert 0 < len(multi) < len(table.pairs)
+    multi = [counts for _, _, counts in _pairs(table) if sum(a for a, _ in counts) > 1]
+    assert 0 < len(multi) < len(_pairs(table))
     graph = realize_table(table)
     assert len(digraphs) == len(multi)
     # havel_hakimi validates each diagonal part; the union is never re-validated.
-    assert len(validated) == len(table.diagonal)
+    assert len(validated) == len(_diagonal(table))
     assert all(part is not graph for part in validated)
     assert graph == realize_parts(table)
 
@@ -451,14 +454,13 @@ def test_trusted_graph_constructor_matches_the_validating_one():
 def _doctored_tables():
     """Tables whose plans or supports were changed after building, one fault each."""
     path = _path_table()
-    [(rep, vertices, counts)] = path.pairs
-    yield _doctored(path, pairs=((rep, vertices, tuple((b, a) for a, b in counts)),))
+    [(rep, vertices, counts)] = path.plan
+    yield _doctored(path, plan=((rep, vertices, tuple((b, a) for a, b in counts)),))
     for bad in ((0, 0, 2), (2, 1, 0), (0, 1, 3), (-1, 0, 1)):
-        yield _doctored(path, pairs=((rep, bad, counts),))
+        yield _doctored(path, plan=((rep, bad, counts),))
     yield _table(4, {DIAG: ((1, 1), (1, 1))})
-    yield _doctored(path, diagonal=(SKEW,), pairs=())
-    yield _doctored(path, pairs=((rep, (0, 1), counts[:2]),))
-    yield _doctored(path, pairs=())
+    yield _doctored(path, plan=((rep, (0, 1), counts[:2]),))
+    yield _doctored(path, plan=())
     yield _table(3, {DIAG: ((0, 1), (1, 1)), DIAG2: ((0, 1), (1, 1))})
     supports = {SKEW: ((0, 1), (1, 1)), SKEW.inverse(): ((0, 1), (1, 1))}
     yield _table(2, supports, [(SKEW, (0, 1), ((1, 1), (1, 1)))])
@@ -466,10 +468,10 @@ def _doctored_tables():
 
 def test_placer_refuses_a_loop_or_an_end_off_the_part():
     table = _path_table()
-    [(rep, vertices, _)] = table.pairs
+    [(rep, vertices, _)] = table.plan
     for arcs in ([(0, 1), (1, 1)], [(0, 1), (2, 3)], [(-1, 1)]):
         with pytest.raises(InternalInvariantError, match="loop or leaves its 3 vertices"):
-            unicover.realize._place(table, [(rep, vertices, arcs, True)])
+            unicover.realize._place(table, [(rep, vertices, arcs)])
 
 
 def _raised(call, *args):
@@ -482,5 +484,5 @@ def test_realize_table_refuses_doctored_tables_as_glue_did():
     for table in _doctored_tables():
         got, want = _raised(realize_table, table), _raised(realize_parts, table)
         assert got == want
-        # cli.main reports a bare ValueError as bad input, not as a bug.
+        # A fault of the table is a bug, never a ValueError.
         assert issubclass(got[0], InternalInvariantError), got
