@@ -1,19 +1,19 @@
 """Command-line interface.
 
 Exit codes: 0 success (graphical / match), 1 negative outcome (not
-graphical / mismatch / failed selftest), 2 input error, 3 internal error
-that should be reported as a bug.  JSON results go to stdout, diagnostics to
-stderr.  A command parses its tree collection once, into one Forest, and
-works on the root ids from then on.
+graphical / mismatch / failed selftest), 2 input error or failed write, 3
+internal error that should be reported as a bug.  Results go to stdout or
+`-o FILE` through `_write`, diagnostics to stderr.  A command parses its
+tree collection once, into one Forest, and works on the root ids from then on.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import os
 import sys
-from typing import Sequence
+from typing import IO, Callable, Sequence
 
 from .edge_types import table_from_ids
 from .errors import (
@@ -64,21 +64,20 @@ def _read_lines(path: str) -> list[str]:
         ) from None
 
 
-class _Output:
-    """Output target that only touches the filesystem on success paths."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def write_text(self, text: str) -> None:
-        if self.path == "-":
-            sys.stdout.write(text)
-            return
-        try:
-            with open(self.path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UnicoverError(f"cannot write {self.path}: {exc.strerror}") from None
+def _write(path: str, emit: Callable[[IO[str]], object]) -> None:
+    """Hand file `path`, or stdout for '-', to `emit`; a failed write is bad input (exit 2)."""
+    try:
+        if path == "-":
+            emit(sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                emit(handle)
+    except OSError as exc:
+        if path == "-" and sys.stdout is sys.__stdout__:
+            # Python flushes stdout again at exit, where the bytes still buffered would fail twice.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UnicoverError(f"cannot write {'stdout' if path == '-' else path}: {exc.strerror}") from None
 
 
 def _load_trees(path: str, override: int | None) -> tuple[Forest, list[int], int]:
@@ -113,7 +112,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     payload = _verdict_payload(verdict, depth)
     if args.explain:
         payload["table"] = table.to_json_dict()
-    print(json.dumps(payload, indent=2))
+    _write("-", lambda out: print(json.dumps(payload, indent=2), file=out))
     return 0 if verdict.graphical else 1
 
 
@@ -123,7 +122,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     verdict = check_neighborhood(table)
     if not verdict.graphical:
         print(f"not graphical at depth {depth}: {NotGraphical(verdict)}", file=sys.stderr)
-        print(json.dumps(_verdict_payload(verdict, depth), indent=2))
+        _write("-", lambda out: print(json.dumps(_verdict_payload(verdict, depth), indent=2), file=out))
         return 1
     graph = realize_table(table)
     if args.verify:
@@ -131,11 +130,9 @@ def cmd_realize(args: argparse.Namespace) -> int:
         if bad is not None:
             raise InternalInvariantError(f"realized graph fails verification at vertex {bad}")
     if args.format == "dot":
-        _Output(args.output).write_text(to_dot(graph))
+        _write(args.output, lambda out: out.write(to_dot(graph)))
     else:
-        buf = io.StringIO()
-        write_graph(graph, buf)
-        _Output(args.output).write_text(buf.getvalue())
+        _write(args.output, lambda out: write_graph(graph, out))
     return 0
 
 
@@ -145,7 +142,7 @@ def cmd_neighborhoods(args: argparse.Namespace) -> int:
     graph = read_graph(_read_lines(args.graph))
     forest = Forest()
     balls = ball_ids(forest, graph, args.depth)
-    _Output(args.output).write_text("".join([forest.codes[t] + "\n" for t in balls]))
+    _write(args.output, lambda out: out.writelines(forest.codes[t] + "\n" for t in balls))
     return 0
 
 
@@ -184,7 +181,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         "disagreements_total": bad,
         "runs": [r.to_json_dict() for r in runs],
     }
-    print(json.dumps(payload, indent=2))
+    _write("-", lambda out: print(json.dumps(payload, indent=2), file=out))
     return 0 if bad == 0 else 1
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import IO, Iterable
 
 from .errors import GraphFormatError
+from .trees import FrozenSlots
 
 # Largest `n=` header that read_graph accepts; the graph allocates per vertex.
 MAX_VERTICES = 10**6
@@ -23,8 +24,15 @@ __all__ = [
 ]
 
 
-class SimpleGraph:
-    """Undirected graph without loops or parallel edges."""
+class SimpleGraph(FrozenSlots):
+    """Undirected graph without loops or parallel edges.
+
+    Immutable (see :class:`~unicover.trees.FrozenSlots`).  `edges` holds
+    each edge once as (u, v) with u < v, sorted; `adj[v]` lists v's
+    neighbours in ascending order.
+    """
+
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -49,14 +57,18 @@ class SimpleGraph:
         return graph
 
     def _index(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
-        self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
+        ordered = tuple(sorted(edges))
         neigh: list[list[int]] = [[] for _ in range(n)]
         # Sorted u < v edges reach each vertex's neighbours in ascending order.
-        for u, v in self.edges:
+        for u, v in ordered:
             neigh[u].append(v)
             neigh[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, neigh))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", ordered)
+        object.__setattr__(self, "adj", tuple(map(tuple, neigh)))
+
+    def __reduce__(self):
+        return (SimpleGraph._from_checked, (self.n, self.edges))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -76,8 +88,14 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={list(self.edges)})"
 
 
-class Digraph:
-    """Directed graph without loops; opposite arcs may coexist, each once."""
+class Digraph(FrozenSlots):
+    """Directed graph without loops; opposite arcs may coexist, each once.
+
+    Immutable (see :class:`~unicover.trees.FrozenSlots`); `arcs` holds each
+    arc (u, v) once, sorted.
+    """
+
+    __slots__ = ("n", "arcs")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -91,25 +109,17 @@ class Digraph:
             if (u, v) in seen:
                 raise ValueError(f"repeated arc ({u}, {v})")
             seen.add((u, v))
-        self.n = n
-        self.arcs: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        out: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
-        for u, v in self.arcs:
-            out[u].append(v)
-            indeg[v] += 1
-        self.out_adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in out)
-        self._in_degrees = tuple(indeg)
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
-
-    def in_degree(self, v: int) -> int:
-        return self._in_degrees[v]
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", tuple(sorted(seen)))
 
     def bidegree_sequence(self) -> tuple[tuple[int, int], ...]:
         """(out, in) pair per vertex."""
-        return tuple((len(self.out_adj[v]), self._in_degrees[v]) for v in range(self.n))
+        out = [0] * self.n
+        inn = [0] * self.n
+        for u, v in self.arcs:
+            out[u] += 1
+            inn[v] += 1
+        return tuple(zip(out, inn))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):

@@ -15,7 +15,7 @@ code strings are read only for reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -165,7 +165,7 @@ def mutate_collection(trees: Sequence[RootedTree], rng: random.Random) -> list[R
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Disagreement:
     collection: tuple[str, ...]
     checker: bool
@@ -181,7 +181,7 @@ class Disagreement:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleReport:
     """Outcome of one cross-validation run.
 
@@ -192,9 +192,9 @@ class OracleReport:
 
     n: int
     depth: int
-    cases_total: int = 0
-    agreements: int = 0
-    disagreements: list[Disagreement] = field(default_factory=list)
+    cases_total: int
+    agreements: int
+    disagreements: tuple[Disagreement, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,10 +206,9 @@ class OracleReport:
         }
 
 
-def _judge(report: OracleReport, forest: Forest, roots: Sequence[int], truth: bool, why: str) -> None:
-    """Count one case; record a verdict other than `truth` (as `why`) or a failed realization."""
-    report.cases_total += 1
-    table = table_from_ids(forest, roots, report.depth)
+def _judge(forest: Forest, roots: Sequence[int], depth: int, truth: bool, why: str) -> Disagreement | None:
+    """One case: a verdict other than `truth` (as `why`) or a failed realization, else None."""
+    table = table_from_ids(forest, roots, depth)
     verdict = check_neighborhood(table).graphical
     detail = why if verdict != truth else ""
     if verdict and not detail:
@@ -218,11 +217,9 @@ def _judge(report: OracleReport, forest: Forest, roots: Sequence[int], truth: bo
         except UnicoverError as exc:
             detail = f"realize raised {type(exc).__name__}: {exc}"
         else:
-            if first_mismatch_in(forest, graph, roots, report.depth) is not None:
+            if first_mismatch_in(forest, graph, roots, depth) is not None:
                 detail = "realization failed per-index verification"
-    if detail:
-        codes = tuple(forest.codes[t] for t in roots)
-        report.disagreements.append(Disagreement(codes, verdict, truth, detail))
+    return Disagreement(tuple(forest.codes[t] for t in roots), verdict, truth, detail) if detail else None
 
 
 def cross_validate(n: int, depth: int, mutants_per_case: int = 3, seed: int = 0) -> OracleReport:
@@ -239,15 +236,14 @@ def cross_validate(n: int, depth: int, mutants_per_case: int = 3, seed: int = 0)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     rng = random.Random(seed)
-    report = OracleReport(n=n, depth=depth)
     forest = Forest()
     harvests = [ball_ids(forest, graph, depth) for graph in enumerate_graphs(n)]
     realizable = {tuple(sorted(roots)) for roots in harvests}
-    for roots in harvests:
-        _judge(report, forest, roots, True, "checker rejected a harvested collection")
+    why = "checker rejected a harvested collection"
+    outcomes = [_judge(forest, roots, depth, True, why) for roots in harvests]
     for roots in harvests:
         for _ in range(mutants_per_case):
             mutant = _mutate(forest, roots, rng)
-            _judge(report, forest, mutant, tuple(sorted(mutant)) in realizable, "mutant")
-    report.agreements = report.cases_total - len(report.disagreements)
-    return report
+            outcomes.append(_judge(forest, mutant, depth, tuple(sorted(mutant)) in realizable, "mutant"))
+    bad = tuple(d for d in outcomes if d is not None)
+    return OracleReport(n, depth, len(outcomes), len(outcomes) - len(bad), bad)

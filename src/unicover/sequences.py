@@ -39,18 +39,14 @@ class FailureKind(str, Enum):
 
 
 class FailureRecord(NamedTuple):
-    """One failed condition; `type_key` is None for global failures."""
+    """One failed condition of the plan entry named by `type_key`."""
 
-    type_key: EdgeType | None
+    type_key: EdgeType
     kind: FailureKind
     witness_k: int | None = None
 
     def to_json_dict(self) -> dict:
-        key: dict | str
-        if self.type_key is None:
-            key = "global"
-        else:
-            key = {"r": self.type_key.near, "s": self.type_key.far}
+        key = {"r": self.type_key.near, "s": self.type_key.far}
         return {"type": key, "kind": self.kind.value, "k": self.witness_k}
 
 

@@ -70,7 +70,7 @@ def test_criterion_3_negative_direction_mutants():
     mutants = 0
     for n, depth in [(4, 1), (4, 2), (5, 1), (5, 2)]:
         report = cross_validate(n, depth, mutants_per_case=1, seed=n * 10 + depth)
-        assert report.disagreements == [], report.to_json_dict()
+        assert report.disagreements == (), report.to_json_dict()
         mutants += report.cases_total - sum(1 for _ in enumerate_graphs(n))
     assert mutants >= 1000
     # tie the cached-set decision used above to the literal brute-force scan

@@ -11,7 +11,17 @@ from pathlib import Path
 import pytest
 
 import unicover
-from unicover import EdgeType, FailureKind, FailureRecord, Verdict, build_table, parse_tree
+from unicover import (
+    Digraph,
+    EdgeType,
+    FailureKind,
+    FailureRecord,
+    SimpleGraph,
+    Verdict,
+    build_table,
+    cross_validate,
+    parse_tree,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "unicover").glob("*.py"))
@@ -99,6 +109,9 @@ def test_records_are_immutable():
         (table, "supports"),
         (FailureRecord(diag, FailureKind.ODD_DIAGONAL_SUM), "witness_k"),
         (Verdict(True), "failures"),
+        (SimpleGraph(3, [(0, 1)]), "n"),
+        (Digraph(2, [(0, 1)]), "arcs"),
+        (cross_validate(2, 1, mutants_per_case=1), "disagreements"),
     ]
     for record, field in records:
         for name in (field, "extra"):
@@ -111,12 +124,16 @@ def test_records_are_immutable():
 def test_records_copy_and_pickle():
     tree = parse_tree("(()(()))")
     table = build_table([tree, parse_tree("(())"), parse_tree("()"), parse_tree("(())")], 2)
+    graph, digraph = SimpleGraph(4, [(2, 0), (1, 2)]), Digraph(3, [(1, 0), (0, 1), (2, 1)])
+    report = cross_validate(2, 1, mutants_per_case=1)
     for clone in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
         assert clone(tree) == tree
-        twin = clone(table)
-        assert [getattr(twin, name) for name in table.__slots__] == [
-            getattr(table, name) for name in table.__slots__
-        ]
+        assert clone(report) == report
+        for record in (table, graph, digraph):
+            twin = clone(record)
+            assert [getattr(twin, name) for name in record.__slots__] == [
+                getattr(record, name) for name in record.__slots__
+            ]
 
 
 def test_tables_compare_and_hash_by_identity():
@@ -131,3 +148,32 @@ def test_named_tuple_records_keep_their_repr_and_compare_as_tuples():
     assert repr(EdgeType("()", "(())")) == "EdgeType(near='()', far='(())')"
     assert EdgeType("()", "(())") == ("()", "(())")
     assert Verdict(True) == (True, ())
+
+
+def test_cli_writes_results_only_through_write():
+    # One function owns stdout, so every failed write of a result exits 2.
+    tree = ast.parse((ROOT / "src" / "unicover" / "cli.py").read_text(encoding="utf-8"))
+    inside = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == "_write"
+        for node in ast.walk(func)
+    }
+    offenders = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "stdout"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"
+            and id(node) not in inside
+        )
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "print"
+            and not any(k.arg == "file" for k in node.keywords)
+        )
+    ]
+    assert inside and offenders == []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -156,6 +157,12 @@ def test_check_depth_too_small_names_line(tmp_path, capsys):
     code, _, err = run(capsys, "check", trees, "--depth", "1")
     assert code == 2
     assert "line(s) [2]" in err
+
+
+def test_check_rejects_depth_zero(tmp_path, capsys):
+    trees = write(tmp_path / "t.txt", "(())\n(())\n")
+    code, out, err = run(capsys, "check", trees, "--depth", "0")
+    assert (code, out, err) == (2, "", "error: --depth must be >= 1\n")
 
 
 def test_realize_writes_edge_list(tmp_path, capsys):
@@ -369,7 +376,11 @@ def test_check_on_a_very_deep_pair_is_a_verdict(tmp_path, capsys):
 
 def test_unexpected_exception_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     # Only a UnicoverError is bad input; a bare ValueError is a bug like any other.
-    for error in (RuntimeError, ValueError):
+    for error, message in (
+        (RuntimeError, "RuntimeError: boom"),
+        (ValueError, "ValueError: boom"),
+        (cli.InternalInvariantError, "boom"),
+    ):
 
         def boom(_args):
             raise error("boom")
@@ -379,21 +390,68 @@ def test_unexpected_exception_exits_3_without_traceback(tmp_path, capsys, monkey
         code, out, err = run(capsys, "check", trees)
         assert code == 3
         assert out == ""
-        assert err.splitlines() == [f"internal error (please report): {error.__name__}: boom"]
+        assert err.splitlines() == [f"internal error (please report): {message}"]
+
+
+class FullStream(io.TextIOBase):
+    """A text stream whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_stdout_write_exits_2_for_every_command(tmp_path, capsys, monkeypatch):
+    trees = write(tmp_path / "t.txt", "(())\n(())\n")
+    bad = write(tmp_path / "bad.txt", "(())\n((()))\n")
+    graph = write(tmp_path / "g.txt", "n=2\n0 1\n")
+    monkeypatch.setattr("sys.stdout", FullStream())
+    for argv in (
+        ["check", trees],
+        ["check", bad, "--depth", "2"],
+        ["realize", trees],
+        ["realize", trees, "--format", "dot"],
+        ["realize", bad, "--depth", "2"],
+        ["neighborhoods", graph, "--depth", "1"],
+        ["selftest", "--max-n", "2", "--depth", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.splitlines()[-1] == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}", argv
+
+
+def test_failed_file_write_exits_2(tmp_path, capsys):
+    trees = write(tmp_path / "t.txt", "(())\n(())\n")
+    graph = write(tmp_path / "g.txt", "n=2\n0 1\n")
+    target = str(tmp_path / "missing" / "out.txt")
+    for argv in (["realize", trees], ["neighborhoods", graph, "--depth", "1"]):
+        code, out, err = run(capsys, *argv, "-o", target)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: cannot write {target}: No such file or directory\n", argv
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_process(work, hash_seed, *argv):
-    """Run the CLI as its own process in `work` under a fixed PYTHONHASHSEED."""
+def cli_process(work, hash_seed, *argv, stdout=subprocess.PIPE):
+    """The CLI started as its own process in `work` under a fixed PYTHONHASHSEED."""
     path = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=os.pathsep.join(path))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as Python sets it up by default
     entry = "import sys; from unicover.cli import main; sys.exit(main())"
-    proc = subprocess.run(
-        [sys.executable, "-c", entry, *argv], cwd=work, env=env, capture_output=True, timeout=120
+    return subprocess.Popen(
+        [sys.executable, "-c", entry, *argv], cwd=work, env=env, stdout=stdout, stderr=subprocess.PIPE
     )
-    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_process(work, hash_seed, *argv, stdout=subprocess.PIPE):
+    """Run the CLI as its own process; its exit code, stdout and stderr."""
+    with cli_process(work, hash_seed, *argv, stdout=stdout) as proc:
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    return proc.returncode, out, err
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
@@ -424,3 +482,22 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     runs, files = results[0]
     assert [code for code, _, _ in runs] == [0, 0, 0, 1]
     assert sorted(files) == ["balls.txt", "g.txt", "mutant.txt", "out.graph"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_stdout_on_a_full_device_exits_2(tmp_path):
+    write(tmp_path / "t.txt", "(())\n(())\n")
+    with open("/dev/full", "w") as full:
+        code, _, err = run_process(tmp_path, 0, "check", "t.txt", stdout=full)
+    assert (code, err.decode()) == (2, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_stdout_into_a_closed_pipe_exits_2(tmp_path):
+    n = 30000  # 450 KB of balls, more than a pipe holds
+    write(tmp_path / "g.txt", f"n={n}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+    with cli_process(tmp_path, 0, "neighborhoods", "g.txt", "--depth", "3") as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert (proc.returncode, err.decode()) == (2, f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")

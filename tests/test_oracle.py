@@ -131,8 +131,13 @@ def test_mutants_do_not_depend_on_the_stored_child_order():
 def test_cross_validate_small_sizes_are_clean():
     for n, h in [(2, 1), (3, 1), (3, 2)]:
         report = cross_validate(n, h, mutants_per_case=3, seed=0)
-        assert report.disagreements == []
+        assert report.disagreements == ()
         assert report.agreements == report.cases_total
+
+
+def test_cross_validate_rejects_depth_zero():
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        cross_validate(2, 0)
 
 
 def test_cross_validate_is_deterministic():

@@ -62,6 +62,13 @@ def test_havel_hakimi_deterministic():
     assert havel_hakimi(seq).edges == havel_hakimi(seq).edges
 
 
+def test_realizers_reject_negative_entries():
+    with pytest.raises(ValueError, match="non-negative"):
+        havel_hakimi((1, -1, 2))
+    with pytest.raises(ValueError, match="non-negative"):
+        kleitman_wang(((1, 0), (0, -1)))
+
+
 def test_kleitman_wang_examples():
     assert kleitman_wang(((1, 0), (0, 1))).arcs == ((0, 1),)
     assert kleitman_wang(((0, 0), (0, 0))).arcs == ()

@@ -140,9 +140,10 @@ def test_check_reports_eg_violation_with_witness():
 def test_check_failure_json_shape():
     table = build_table([parse_tree("(())"), parse_tree("((()))")], 2)
     docs = [f.to_json_dict() for f in check_neighborhood(table).failures]
+    assert docs
     for doc in docs:
         assert set(doc) == {"type", "kind", "k"}
-        assert doc["type"] == "global" or {"r", "s"} == set(doc["type"])
+        assert set(doc["type"]) == {"r", "s"}
 
 
 # Star-of-stars gadgets: at depth 2 the near side of every edge is the star
