@@ -89,11 +89,10 @@ def _load_trees(path: str, override: int | None) -> tuple[Forest, list[int], int
         return forest, roots, max(1, max([forest.depths[t] for t in roots], default=0))
     if override < 1:
         raise DepthError("--depth must be >= 1")
-    offenders = [lineno for lineno, t in pairs if forest.depths[t] > override]
+    offenders = [i for i, (_, t) in enumerate(pairs) if forest.depths[t] > override]
     if offenders:
-        raise DepthError(
-            f"trees deeper than --depth {override} on line(s) {offenders}", indices=tuple(offenders)
-        )
+        lines = [pairs[i][0] for i in offenders]
+        raise DepthError(f"trees deeper than --depth {override} on line(s) {lines}", indices=tuple(offenders))
     return forest, roots, override
 
 

@@ -9,13 +9,13 @@ endpoint.
 
 Both pieces are computed on interned ids of a :class:`~unicover.trees.Forest`
 (far = the child's id, near = the node over the other children's truncated
-ids).  Each distinct type's codes, class and sort key are worked out once,
-and so is the table's plan: one entry per diagonal type and per inverse
-pair, the unit that the check tests and the realizer builds.
-
-The table stores each type by its support only, the vertices with a nonzero
-count, so a type costs time and memory in proportion to its support, never
-to the number n of trees.  Dense length-n vectors are built on request.
+ids).  The table's one store is its plan: one entry per unit that the
+check tests and the realizer builds, a diagonal type or an inverse pair.
+Each distinct tree's root edges are counted straight into their units, and
+an entry lists only the vertices where its unit occurs, so a unit costs
+time and memory in proportion to its support, never to the number n of
+trees.  Supports by type and dense length-n vectors are views of the plan,
+built on request.
 """
 
 from __future__ import annotations
@@ -89,47 +89,54 @@ def _edge_pairs(forest: Forest, child_ids: Sequence[int], depth: int) -> list[tu
 
 
 class TypedDegreeTable(FrozenSlots):
-    """Per-vertex, per-type counts of root-incident edges.
+    """Per-vertex, per-type counts of root-incident edges, stored as the plan.
 
-    `supports` maps each occurring type, in sort order, to its support: the
-    `(vertex, count)` pairs with a nonzero count, in vertex order.  The
-    dense length-`n` vectors (`degrees`, :meth:`degree_vector`) are built
-    on request only.
+    `plan` is what the check tests and the realizer builds: it maps each
+    unit's type to its `(vertices, counts)`, the vertices ascending.  First
+    come the diagonal types in sort order, each with the vertices where it
+    occurs and their counts.  Then come the inverse pairs in sort order,
+    each named by its A-class member whether or not that occurs, with the
+    vertices where either member occurs and their (out, in) counts, out
+    being the A member's count and in its inverse's.  An entry is an inverse
+    pair exactly when `etype.near != etype.far`.
 
-    `plan` is what the check tests and the realizer builds, one
-    `(etype, vertices, counts)` entry per unit: first each diagonal type in
-    sort order, its support split into its vertices and its counts; then
-    each inverse pair in sort order, named by its A-class member whether or
-    not that occurs, with the vertices where either member occurs
-    (ascending) and their (out, in) counts, out being the A member's count
-    and in its inverse's.  An entry is an inverse pair exactly when
-    `etype.near != etype.far`.
+    `supports`, `degrees` and :meth:`degree_vector` are views of the plan,
+    built on request only.
 
     Immutable (see :class:`~unicover.trees.FrozenSlots`); tables compare
     and hash by identity.
     """
 
-    __slots__ = ("n", "depth", "supports", "plan")
+    __slots__ = ("n", "depth", "plan")
 
-    def __init__(
-        self,
-        n: int,
-        depth: int,
-        supports: dict[EdgeType, tuple[tuple[int, int], ...]],
-        plan: tuple[tuple[EdgeType, tuple[int, ...], tuple], ...],
-    ) -> None:
-        for name, value in zip(self.__slots__, (n, depth, supports, plan)):
+    def __init__(self, n: int, depth: int, plan: dict[EdgeType, tuple[tuple[int, ...], tuple]]) -> None:
+        for name, value in zip(self.__slots__, (n, depth, plan)):
             object.__setattr__(self, name, value)
 
-    def occurring_types(self) -> list[EdgeType]:
-        """All types with at least one edge, in deterministic order."""
-        return list(self.supports)
+    @property
+    def supports(self) -> dict[EdgeType, tuple[tuple[int, int], ...]]:
+        """Each occurring type, in sort order, with its `(vertex, count)` pairs of nonzero count."""
+        found: dict[EdgeType, tuple[tuple[int, int], ...]] = {}
+        for etype, (vertices, counts) in self.plan.items():
+            if etype.near == etype.far:
+                found[etype] = tuple((v, c) for v, c in zip(vertices, counts) if c)
+                continue
+            for member, side in ((etype, 0), (etype.inverse(), 1)):
+                support = tuple((v, c[side]) for v, c in zip(vertices, counts) if c[side])
+                if support:
+                    found[member] = support
+        return {etype: found[etype] for etype in sorted(found, key=EdgeType.sort_key)}
 
     def degree_vector(self, etype: EdgeType) -> tuple[int, ...]:
         """Length-`n` count vector for `etype`; all zeros if the type never occurs."""
         vec = [0] * self.n
-        for v, count in self.supports.get(etype, ()):
-            vec[v] = count
+        near, far = etype
+        side, entry = 0, self.plan.get(etype)
+        if entry is None and near != far:
+            side, entry = 1, self.plan.get((far, near))
+        if entry is not None:
+            for v, count in zip(*entry):
+                vec[v] = count if near == far else count[side]
         return tuple(vec)
 
     @property
@@ -168,7 +175,7 @@ def build_table(trees: Sequence[RootedTree], depth: int) -> TypedDegreeTable:
 def table_from_ids(forest: Forest, roots: Sequence[int], depth: int) -> TypedDegreeTable:
     """:func:`build_table` for the trees with ids `roots` in `forest`.
 
-    Costs O(n + root edges + types log types): each type's support is built
+    Costs O(n + root edges + units log units): each unit's entry is built
     from its own edges, never as a length-`n` vector.
     """
     if depth < 1:
@@ -178,34 +185,31 @@ def table_from_ids(forest: Forest, roots: Sequence[int], depth: int) -> TypedDeg
         raise DepthError(
             f"trees deeper than {depth} at indices {list(too_deep)}", indices=too_deep
         )
-    counts_of: dict[int, dict[tuple[int, int], int]] = {}
-    support: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    keys = forest.keys
+    # Per distinct root, each of its units' vertex and count lists and its count there.
+    units_of: dict[int, list[tuple[list[int], list, object]]] = {}
+    entries: dict[tuple[int, int], tuple[list[int], list]] = {}
     for i, root in enumerate(roots):
-        counts = counts_of.get(root)
-        if counts is None:
-            counts = counts_of[root] = {}
-            for pair in _edge_pairs(forest, forest.kids[root], depth):
-                counts[pair] = counts.get(pair, 0) + 1
-        for pair, count in counts.items():
-            entries = support.get(pair)
-            if entries is None:
-                entries = support[pair] = []
-            entries.append((i, count))
-    codes, keys = forest.codes, forest.keys
-    etypes = {pair: EdgeType(codes[pair[0]], codes[pair[1]]) for pair in support}
-    order = sorted(support, key=lambda p: (keys[p[0]], keys[p[1]]))
-    supports = {etypes[p]: tuple(support[p]) for p in order}
-    # A diagonal type's support is never empty, so it splits into two tuples.
-    plan = [(etypes[p], *zip(*supports[etypes[p]])) for p in order if p[0] == p[1]]
-    # An inverse pair is named by its A-class member, whether or not it occurs.
-    reps = sorted(
-        {(near, far) if keys[near] < keys[far] else (far, near) for near, far in order if near != far},
-        key=lambda p: (keys[p[0]], keys[p[1]]),
-    )
-    for near, far in reps:
-        out = dict(support.get((near, far), ()))
-        inn = dict(support.get((far, near), ()))
-        vertices = tuple(sorted(out.keys() | inn.keys()))
-        rep = etypes.get((near, far)) or EdgeType(codes[near], codes[far])
-        plan.append((rep, vertices, tuple((out.get(v, 0), inn.get(v, 0)) for v in vertices)))
-    return TypedDegreeTable(len(roots), depth, supports, tuple(plan))
+        units = units_of.get(root)
+        if units is None:
+            # A unit is a diagonal type or an inverse pair named by its A member.
+            slots: dict[tuple[int, int], list[int]] = {}
+            for near, far in _edge_pairs(forest, forest.kids[root], depth):
+                unit, side = ((near, far), 0) if near == far or keys[near] < keys[far] else ((far, near), 1)
+                slot = slots.get(unit)
+                if slot is None:
+                    slot = slots[unit] = [0, 0]
+                slot[side] += 1
+            units = units_of[root] = []
+            for unit, (out, inn) in slots.items():
+                entry = entries.get(unit)
+                if entry is None:
+                    entry = entries[unit] = ([], [])
+                units.append((*entry, out if unit[0] == unit[1] else (out, inn)))
+        for vertices, counts, count in units:
+            vertices.append(i)
+            counts.append(count)
+    codes = forest.codes
+    order = sorted(entries, key=lambda u: (u[0] != u[1], keys[u[0]], keys[u[1]]))
+    plan = {EdgeType(codes[near], codes[far]): tuple(map(tuple, entries[near, far])) for near, far in order}
+    return TypedDegreeTable(len(roots), depth, plan)

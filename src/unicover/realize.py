@@ -15,9 +15,9 @@ O((s + m) log s).  A pair whose counts are ((1, 0), (0, 1)) or
 ((0, 1), (1, 0)) has exactly one arc, the one Kleitman–Wang would choose,
 so it is placed directly, with no heap and no Digraph.  One placer maps
 each part's edges back through the plan's vertices into a single owner
-map, checks them against the table in time linear in the support and
-edges, and the final graph is built once from that map without a second
-validation.  :func:`glue` checks parts given from outside the plan's
+map, checks each part's degrees against its own plan entry in time linear
+in the entry and its edges, and the final graph is built once from that
+map without a second validation.  :func:`glue` checks parts given from outside the plan's
 realizers and hands them to the same placer.
 """
 
@@ -40,9 +40,9 @@ __all__ = [
     "realize_table",
 ]
 
-# A part to place: its plan entry's type and vertices, and its edges (arcs
-# for an inverse pair) in local labels, part vertex j being the j-th vertex.
-_Part = tuple[EdgeType, Sequence[int], Iterable[tuple[int, int]]]
+# A part to place: the edges (arcs for an inverse pair) of one plan entry in
+# local labels, part vertex j being the entry's j-th vertex.
+_Part = Iterable[tuple[int, int]]
 
 # Counts of a pair with one arc, and that arc in local labels.
 _FORCED = {((1, 0), (0, 1)): ((0, 1),), ((0, 1), (1, 0)): ((1, 0),)}
@@ -165,43 +165,33 @@ def _name(etype: EdgeType) -> str:
 
 
 def _place(table: TypedDegreeTable, parts: Iterable[_Part]) -> SimpleGraph:
-    """Union the parts of `table`'s plan, each checked against the table once.
+    """Union the parts of `table`'s plan, each checked against its own plan entry once.
 
     `parts` come in plan order.  Raises what :func:`glue` documents for a
     checked part, and InternalInvariantError for a loop or an end outside
-    the part's vertices.  Degrees are counted from the placed edges and
-    compared with `table.supports`, whose counts are nonzero and in vertex
-    order.
+    the part's vertices.  Degrees are counted from the placed edges into
+    two arrays over the entry's vertices and compared with its counts.
     """
-    supports, n = table.supports, table.n
-    covered: set[tuple[str, str]] = set()
+    n = table.n
     owner: dict[tuple[int, int], EdgeType] = {}
-    for etype, vertices, ends in parts:
-        near, far = etype
-        directed = near != far
+    for (etype, (vertices, counts)), ends in zip(table.plan.items(), parts):
+        directed = etype.near != etype.far
         k = len(vertices)
         if k and not (0 <= vertices[0] and vertices[-1] < n and sorted(set(vertices)) == list(vertices)):
             raise InternalInvariantError(f"plan vertices of type {_name(etype)} must ascend within 0..{n - 1}")
         placed: list[tuple[int, int]] = []
-        tails: dict[int, int] = {}
-        heads = {} if directed else tails
+        tails = [0] * k
+        heads = [0] * k if directed else tails
         for u, v in ends:
             if u == v or not (0 <= u < k and 0 <= v < k):
                 raise InternalInvariantError(
                     f"part of type {_name(etype)} has an edge ({u}, {v}) that is a loop or leaves its {k} vertices"
                 )
+            tails[u] += 1
+            heads[v] += 1
             a, b = vertices[u], vertices[v]
-            tails[a] = tails.get(a, 0) + 1
-            heads[b] = heads.get(b, 0) + 1
             placed.append((a, b) if a < b else (b, a))  # ascending plan vertices keep a != b
-        # A named tuple equals the plain tuple of its fields, so this finds
-        # and covers the inverse type without building it.
-        inverse = (far, near)
-        covered.update((etype, inverse))
-        fits = tuple(sorted(tails.items())) == supports.get(etype, ()) and (
-            not directed or tuple(sorted(heads.items())) == supports.get(inverse, ())
-        )
-        if not fits:
+        if (tuple(zip(tails, heads)) if directed else tuple(tails)) != counts:
             raise InternalInvariantError(f"part of type {_name(etype)} does not have the table's degrees")
         for pair in placed:
             clash = owner.get(pair)
@@ -210,9 +200,6 @@ def _place(table: TypedDegreeTable, parts: Iterable[_Part]) -> SimpleGraph:
                     f"pair {pair} given by type {_name(clash)} and again by {_name(etype)}"
                 )
             owner[pair] = etype
-    uncovered = [etype for etype in supports if etype not in covered]
-    if uncovered:
-        raise InternalInvariantError(f"type {_name(uncovered[0])} is in no plan entry")
     return SimpleGraph._from_checked(n, owner)
 
 
@@ -226,22 +213,22 @@ def glue(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) -> Sim
     checked table never trip the other checks, so each indicates a bug: a
     vertex pair given twice (by two parts, or by both arcs of one Digraph
     part) raises SimplicityViolation; plan vertices that do not ascend
-    within 0..n-1, a part whose (bi)degrees differ from `table.supports` (a
-    pair's (out, in) being its A member's count and its inverse's), or a
-    type that no plan entry covers raise InternalInvariantError.
+    within 0..n-1, or a part whose (bi)degrees differ from its entry's
+    counts (a pair's (out, in) being its A member's count and its
+    inverse's), raise InternalInvariantError.
     """
     if len(parts) != len(table.plan):
         raise ValueError(f"the plan has {len(table.plan)} entries but {len(parts)} parts were given")
 
     def checked() -> Iterator[_Part]:
-        for (etype, vertices, _), part in zip(table.plan, parts):
+        for (etype, (vertices, _)), part in zip(table.plan.items(), parts):
             directed = etype.near != etype.far
             kind = Digraph if directed else SimpleGraph
             if not isinstance(part, kind) or part.n != len(vertices):
                 raise ValueError(
                     f"type {_name(etype)} needs a {kind.__name__} part on {len(vertices)} vertices"
                 )
-            yield etype, vertices, part.arcs if directed else part.edges
+            yield part.arcs if directed else part.edges
 
     return _place(table, checked())
 
@@ -267,11 +254,10 @@ def realize_table(table: TypedDegreeTable) -> SimpleGraph:
     # Each type is realized on its support alone, relabelled in vertex order,
     # so the lowest-index tie-breaks pick the same edges as on all n vertices.
     def realized() -> Iterator[_Part]:
-        for etype, vertices, counts in table.plan:
+        for etype, (_, counts) in table.plan.items():
             if etype.near == etype.far:
-                ends = havel_hakimi(counts).edges
+                yield havel_hakimi(counts).edges
             else:
-                ends = _FORCED.get(counts) or kleitman_wang(counts).arcs
-            yield etype, vertices, ends
+                yield _FORCED.get(counts) or kleitman_wang(counts).arcs
 
     return _place(table, realized())

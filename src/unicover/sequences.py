@@ -175,7 +175,7 @@ def check_neighborhood(table: TypedDegreeTable) -> Verdict:
     an inverse pair's joint support O(s log s).
     """
     failures: list[FailureRecord] = []
-    for etype, _, counts in table.plan:
+    for etype, (_, counts) in table.plan.items():
         if etype.near == etype.far:
             if sum(counts) % 2 == 1:
                 failures.append(FailureRecord(etype, FailureKind.ODD_DIAGONAL_SUM))

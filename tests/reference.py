@@ -3,9 +3,11 @@
 The quadratic scans and dense realizers that the support-only code
 replaced: the linear subsum scans must return the same smallest witness k,
 and the heap-based realizers the same edge lists, as these direct
-transcriptions of the definitions.  The inverse-pair helpers that the
-table's plan replaced: `TypedDegreeTable.plan` must name and fill the
-same pairs in the same order.  The parser that took one step per
+transcriptions of the definitions.  The table as it was built when it
+stored every type's support beside its plan, with the inverse-pair helpers
+that formed the plan from those supports: `TypedDegreeTable.plan` must
+name and fill the same entries in the same order, and its `supports` view
+must equal the stored supports.  The parser that took one step per
 character: `Forest.parse` must give the same id, or fail with the same
 message, on every string.  The realization that built every part as a
 `SimpleGraph`/`Digraph`, glued them and validated the union again:
@@ -28,6 +30,7 @@ from unicover import (
     havel_hakimi,
     kleitman_wang,
 )
+from unicover.edge_types import _edge_pairs
 from unicover.trees import Forest
 
 
@@ -126,22 +129,49 @@ def kleitman_wang_dense(pairs: Sequence[tuple[int, int]]) -> Digraph:
     return Digraph(n, arcs)
 
 
-def inverse_pairs(table: TypedDegreeTable) -> list[EdgeType]:
+def supports_and_plan(forest: Forest, roots: Sequence[int], depth: int) -> tuple[dict, dict]:
+    """Every occurring type's support, then the plan formed from those supports.
+
+    The supports map each type, in `EdgeType.sort_key` order, to its
+    `(vertex, count)` pairs with a nonzero count, in vertex order.  The plan
+    maps each diagonal type to its support split in two, then each inverse
+    pair's A member to :func:`pair_support`.
+    """
+    counts_of: dict[int, dict[tuple[int, int], int]] = {}
+    support: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, root in enumerate(roots):
+        counts = counts_of.get(root)
+        if counts is None:
+            counts = counts_of[root] = {}
+            for pair in _edge_pairs(forest, forest.kids[root], depth):
+                counts[pair] = counts.get(pair, 0) + 1
+        for pair, count in counts.items():
+            support.setdefault(pair, []).append((i, count))
+    codes = forest.codes
+    etypes = {pair: EdgeType(codes[pair[0]], codes[pair[1]]) for pair in support}
+    supports = {etypes[p]: tuple(support[p]) for p in sorted(support, key=lambda p: etypes[p].sort_key())}
+    plan = {etype: tuple(zip(*s)) for etype, s in supports.items() if etype.klass is TypeClass.DIAGONAL}
+    for rep in inverse_pairs(supports):
+        plan[rep] = pair_support(supports, rep)
+    return supports, plan
+
+
+def inverse_pairs(supports: dict[EdgeType, tuple]) -> list[EdgeType]:
     """The A-class member of each inverse pair with an occurring type, sorted."""
     reps = {
         e if e.klass is TypeClass.A else e.inverse()
-        for e in table.supports
+        for e in supports
         if e.klass is not TypeClass.DIAGONAL
     }
     return sorted(reps, key=EdgeType.sort_key)
 
 
-def pair_support(table: TypedDegreeTable, rep: EdgeType) -> tuple[list[int], list[tuple[int, int]]]:
+def pair_support(supports: dict[EdgeType, tuple], rep: EdgeType) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The vertices where `rep` or its inverse occurs, ascending, and their (out, in) counts."""
-    out = dict(table.supports.get(rep, ()))
-    inn = dict(table.supports.get(rep.inverse(), ()))
+    out = dict(supports.get(rep, ()))
+    inn = dict(supports.get(rep.inverse(), ()))
     vertices = sorted(out.keys() | inn.keys())
-    return vertices, [(out.get(v, 0), inn.get(v, 0)) for v in vertices]
+    return tuple(vertices), tuple((out.get(v, 0), inn.get(v, 0)) for v in vertices)
 
 
 def glue_parts(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) -> SimpleGraph:
@@ -149,9 +179,8 @@ def glue_parts(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) 
     supports, n = table.supports, table.n
     if len(parts) != len(table.plan):
         raise ValueError(f"the plan has {len(table.plan)} entries but {len(parts)} parts were given")
-    covered: set[EdgeType] = set()
     owner: dict[tuple[int, int], EdgeType] = {}
-    for (etype, vertices, _), part in zip(table.plan, parts):
+    for (etype, (vertices, _)), part in zip(table.plan.items(), parts):
         name = f"({etype.near},{etype.far})"
         kind = SimpleGraph if etype.near == etype.far else Digraph
         if not isinstance(part, kind) or part.n != len(vertices):
@@ -159,16 +188,12 @@ def glue_parts(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) 
         if sorted(set(vertices)) != list(vertices) or (vertices and not 0 <= vertices[0] <= vertices[-1] < n):
             raise InternalInvariantError(f"plan vertices of type {name} must ascend within 0..{n - 1}")
         if kind is SimpleGraph:
-            covered.add(etype)
             got, want = part.degree_sequence(), tuple([c for _, c in supports.get(etype, ())])
             ends = part.edges
         else:
             inverse = etype.inverse()
-            covered.update((etype, inverse))
             out, inn = dict(supports.get(etype, ())), dict(supports.get(inverse, ()))
-            want = tuple([(out.pop(v, 0), inn.pop(v, 0)) for v in vertices])
-            # Counts left at vertices off the plan match no part.
-            got = part.bidegree_sequence() if not (out or inn) else None
+            got, want = part.bidegree_sequence(), tuple([(out.get(v, 0), inn.get(v, 0)) for v in vertices])
             ends = [(u, v) if u < v else (v, u) for u, v in part.arcs]
         if got != want:
             raise InternalInvariantError(f"part of type {name} does not have the table's degrees")
@@ -180,9 +205,6 @@ def glue_parts(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) 
                     f"pair {pair} given by type ({clash.near},{clash.far}) and again by {name}"
                 )
             owner[pair] = etype
-    uncovered = [etype for etype in supports if etype not in covered]
-    if uncovered:
-        raise InternalInvariantError(f"type ({uncovered[0].near},{uncovered[0].far}) is in no plan entry")
     return SimpleGraph(n, owner)
 
 
@@ -190,6 +212,6 @@ def realize_parts(table: TypedDegreeTable) -> SimpleGraph:
     """`realize_table` as one `havel_hakimi` or `kleitman_wang` part per plan entry, then `glue_parts`."""
     parts: list[SimpleGraph | Digraph] = [
         havel_hakimi([c for _, c in table.supports[etype]]) if etype.near == etype.far else kleitman_wang(counts)
-        for etype, _, counts in table.plan
+        for etype, (_, counts) in table.plan.items()
     ]
     return glue_parts(table, parts)

@@ -106,7 +106,7 @@ def test_records_are_immutable():
     records = [
         (parse_tree("(())"), "children"),
         (diag, "near"),
-        (table, "supports"),
+        (table, "plan"),
         (FailureRecord(diag, FailureKind.ODD_DIAGONAL_SUM), "witness_k"),
         (Verdict(True), "failures"),
         (SimpleGraph(3, [(0, 1)]), "n"),

@@ -159,6 +159,16 @@ def test_check_depth_too_small_names_line(tmp_path, capsys):
     assert "line(s) [2]" in err
 
 
+def test_depth_error_lists_tree_positions_and_names_lines(tmp_path, capsys):
+    # The comment line makes the deep tree's position (1) differ from its line (3).
+    trees = write(tmp_path / "t.txt", "# a path's end and middle\n(())\n((()))\n")
+    with pytest.raises(unicover.DepthError) as err:
+        cli._load_trees(trees, 1)
+    assert err.value.indices == (1,)
+    code, out, err = run(capsys, "check", trees, "--depth", "1")
+    assert (code, out, err) == (2, "", "error: trees deeper than --depth 1 on line(s) [3]\n")
+
+
 def test_check_rejects_depth_zero(tmp_path, capsys):
     trees = write(tmp_path / "t.txt", "(())\n(())\n")
     code, out, err = run(capsys, "check", trees, "--depth", "0")
@@ -316,6 +326,19 @@ def test_selftest_small(capsys):
     assert code == 0
     assert doc["disagreements_total"] == 0
     assert doc["cases_total"] == sum(r["cases_total"] for r in doc["runs"])
+
+
+def test_selftest_output_is_pinned(capsys):
+    # Runs the table, the check and the realizer on 912 cases against brute force.
+    code, out, err = run(capsys, "selftest", "--max-n", "4", "--depth", "3", "--mutants-per-case", "3", "--seed", "0")
+    cases = {0: 4, 1: 4, 2: 8, 3: 32, 4: 256}
+    runs = [
+        {"n": n, "h": h, "cases_total": cases[n], "agreements": cases[n], "disagreements": []}
+        for n in range(5)
+        for h in (1, 2, 3)
+    ]
+    payload = {"cases_total": 912, "agreements": 912, "disagreements_total": 0, "runs": runs}
+    assert (code, out, err) == (0, json.dumps(payload, indent=2) + "\n", "")
 
 
 def test_composition_law(tmp_path, capsys):

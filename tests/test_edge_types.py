@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from unicover import (
     DepthError,
     EdgeType,
+    ParseError,
     TypeClass,
     build_table,
     canonical_code,
@@ -16,7 +19,8 @@ from unicover import (
     neighborhood_collection,
     parse_tree,
 )
-from unicover.trees import depth
+from unicover.edge_types import table_from_ids
+from unicover.trees import Forest, depth, iter_collection
 import reference
 from treegen import cycle_graph, random_graph, random_tree, shuffle_tree
 
@@ -30,20 +34,20 @@ def _total(table, etype):
 def test_single_edge_type_is_trivial_diagonal():
     t = parse_tree("(())")
     for h in (1, 2, 5):
-        [et] = build_table([t], h).occurring_types()
+        [et] = build_table([t], h).supports
         assert (et.near, et.far) == ("()", "()")
         assert et.klass is TypeClass.DIAGONAL
 
 
 def test_far_side_keeps_full_depth():
-    [et] = build_table([parse_tree("((()))")], 2).occurring_types()
+    [et] = build_table([parse_tree("((()))")], 2).supports
     assert (et.near, et.far) == ("()", "(())")
 
 
 def test_near_side_is_truncated():
     # two branches of depth 2; removing one leaves the other, cut to depth 1
     table = build_table([parse_tree("((())(()))")], 2)
-    [et] = table.occurring_types()
+    [et] = table.supports
     assert (et.near, et.far) == ("(())", "(())")
     assert et.klass is TypeClass.DIAGONAL
     assert table.degrees[et] == (2,)
@@ -54,7 +58,7 @@ def test_type_agrees_with_cycle_harvest():
     balls = neighborhood_collection(cycle_graph(4), 2)
     assert [canonical_code(t) for t in balls] == ["((())(()))"] * 4
     table = build_table(balls, 2)
-    [etype] = table.occurring_types()
+    [etype] = table.supports
     assert (etype.near, etype.far) == ("(())", "(())")
     assert table.degrees[etype] == (2, 2, 2, 2)
     assert _total(table, etype) == 8
@@ -75,7 +79,7 @@ def test_type_sides_stay_one_level_shallow():
         h = depth(t) + rng.randrange(3)
         if h < 1:
             continue
-        for et in build_table([t], h).occurring_types():
+        for et in build_table([t], h).supports:
             assert depth(parse_tree(et.near)) <= h - 1
             assert depth(parse_tree(et.far)) <= h - 1
 
@@ -91,7 +95,7 @@ def test_inverse_is_involution_and_flips_class():
 
 def test_build_table_single_edge_pair():
     table = build_table([parse_tree("(())"), parse_tree("(())")], 1)
-    [etype] = table.occurring_types()
+    [etype] = table.supports
     assert (etype.near, etype.far) == ("()", "()")
     assert table.degrees[etype] == (1, 1)
     assert _total(table, etype) == 2
@@ -102,23 +106,35 @@ def test_build_table_mixed_pair():
     table = build_table([parse_tree("(())"), parse_tree("((()))")], 2)
     diag = EdgeType("()", "()")
     skew = EdgeType("()", "(())")
-    assert set(table.occurring_types()) == {diag, skew}
+    assert set(table.supports) == {diag, skew}
     assert table.degrees[diag] == (1, 0)
     assert _total(table, skew) == 1
     assert table.degree_vector(skew.inverse()) == (0, 0)
     assert table.supports == {diag: ((0, 1),), skew: ((1, 1),)}
-    assert table.plan == ((diag, (0,), (1,)), (skew, (1,), ((1, 0),)))
+    assert table.plan == {diag: ((0,), (1,)), skew: ((1,), ((1, 0),))}
 
 
 def test_inverse_pairs_name_each_pair_by_its_a_member():
     skew = EdgeType("()", "(())")
     only_a = build_table([parse_tree("(())"), parse_tree("((()))")], 2)
-    assert only_a.occurring_types() == [EdgeType("()", "()"), skew]
-    assert [rep for rep, _, _ in only_a.plan if rep.near != rep.far] == [skew]
+    assert list(only_a.supports) == [EdgeType("()", "()"), skew]
+    assert [rep for rep in only_a.plan if rep.near != rep.far] == [skew]
     only_b = build_table([parse_tree("(()(()))")], 2)
     assert skew.inverse() in only_b.degrees and skew not in only_b.degrees
-    assert [rep for rep, _, _ in only_b.plan if rep.near != rep.far] == [skew]
-    assert only_b.plan[-1:] == ((skew, (0,), ((0, 1),)),)
+    assert [rep for rep in only_b.plan if rep.near != rep.far] == [skew]
+    assert list(only_b.plan.items())[-1:] == [(skew, ((0,), ((0, 1),)))]
+    assert only_b.degree_vector(skew) == (0,) and only_b.degree_vector(skew.inverse()) == (1,)
+
+
+def _assert_matches_the_reference(forest, roots, h):
+    """The table's plan and `supports` view equal the reference's stored supports and pairing."""
+    table = table_from_ids(forest, roots, h)
+    supports, plan = reference.supports_and_plan(forest, roots, h)
+    assert table.supports == supports and list(table.supports) == list(supports)
+    assert list(table.plan.items()) == list(plan.items())
+    for etype in supports:
+        assert table.degree_vector(etype) == tuple(dict(supports[etype]).get(v, 0) for v in range(table.n))
+    return table, supports
 
 
 def test_plan_matches_the_reference_pairing():
@@ -131,31 +147,38 @@ def test_plan_matches_the_reference_pairing():
         h = rng.randint(1, 3)
         harvest = neighborhood_collection(graph, h)
         for trees in (harvest, mutate_collection(harvest, rng), mutate_collection(harvest, rng)):
-            table = build_table(trees, h)
-            assert table.occurring_types() == sorted(table.supports, key=EdgeType.sort_key)
-            diagonal = [e for e in table.occurring_types() if e.klass is TypeClass.DIAGONAL]
-            assert [etype for etype, _, _ in table.plan[: len(diagonal)]] == diagonal
-            for etype, vertices, counts in table.plan[: len(diagonal)]:
-                assert tuple(zip(vertices, counts)) == table.supports[etype]
-            reps = reference.inverse_pairs(table)
-            assert [rep for rep, _, _ in table.plan[len(diagonal) :]] == reps
-            for rep, vertices, counts in table.plan[len(diagonal) :]:
-                assert (list(vertices), list(counts)) == reference.pair_support(table, rep)
-            b_only += sum(rep not in table.supports for rep in reps)
+            forest = Forest()
+            table, supports = _assert_matches_the_reference(forest, list(forest.intern(trees)), h)
+            b_only += sum(rep not in supports for rep in reference.inverse_pairs(supports))
             # Each occurring type is in one entry: its own, or its A member's.
             entries: dict[EdgeType, list[EdgeType]] = {}
-            for etype, _, _ in table.plan:
+            for etype in table.plan:
                 for member in {etype, etype.inverse()}:
                     entries.setdefault(member, []).append(etype)
-            for etype in table.supports:
+            for etype in supports:
                 assert entries[etype] == [etype.inverse() if etype.klass is TypeClass.B else etype]
-            at = {etype: i for i, (etype, _, _) in enumerate(table.plan)}
+            at = {etype: i for i, etype in enumerate(table.plan)}
             failed = [at[f.type_key] for f in check_neighborhood(table).failures]
             assert failed == sorted(set(failed))
             failing += bool(failed)
             rows = table.to_json_dict()["types"]
-            assert [row["N"] for row in rows] == [sum(c for _, c in s) for s in table.supports.values()]
+            assert [row["N"] for row in rows] == [sum(c for _, c in s) for s in supports.values()]
     assert b_only > 0 and failing > 0
+
+
+def test_plan_matches_the_reference_pairing_on_the_golden_corpus():
+    cases = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+    b_only = 0
+    for case in cases:
+        forest = Forest()
+        try:
+            roots = [t for _, t in iter_collection(case["trees"].splitlines(), forest=forest)]
+        except ParseError:
+            continue
+        h = max(1, max([forest.depths[t] for t in roots], default=0))
+        _, supports = _assert_matches_the_reference(forest, roots, h)
+        b_only += sum(rep not in supports for rep in reference.inverse_pairs(supports))
+    assert len(cases) > 50 and b_only > 0
 
 
 def test_build_table_rejects_deep_trees_listing_indices():
@@ -177,9 +200,9 @@ def test_row_sums_match_degree_sequence():
         h = max(1, max(depth(t) for t in trees))
         table = build_table(trees, h)
         for i in range(table.n):
-            row = sum(table.degrees[et][i] for et in table.occurring_types())
+            row = sum(table.degrees[et][i] for et in table.supports)
             assert row == len(trees[i].children)
-        # the stored supports are the dense vectors' nonzero entries, in vertex order
+        # the supports view is the dense vectors' nonzero entries, in vertex order
         for et, vec in table.degrees.items():
             assert table.supports[et] == tuple((i, d) for i, d in enumerate(vec) if d)
             assert _total(table, et) == sum(vec)
@@ -202,7 +225,7 @@ def test_depth_one_collapses_to_plain_degrees():
         degs = [rng.randrange(5) for _ in range(rng.randrange(1, 7))]
         trees = [parse_tree("(" + "()" * d + ")") for d in degs]
         table = build_table(trees, 1)
-        types = table.occurring_types()
+        types = list(table.supports)
         assert all((et.near, et.far) == ("()", "()") for et in types)
         if any(degs):
             [etype] = types
