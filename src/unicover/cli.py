@@ -5,6 +5,9 @@ graphical / mismatch / failed selftest), 2 input error or failed write, 3
 internal error that should be reported as a bug.  Results go to stdout or
 `-o FILE` through `_write`, diagnostics to stderr.  A command parses its
 tree collection once, into one Forest, and works on the root ids from then on.
+`verify --depth H` (H >= 1) reads both files, unfolds the balls into that
+Forest, and only then loads the trees: a line that spells a ball's
+canonical code is matched by that code, and only the other lines are parsed.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .edge_types import table_from_ids
 from .errors import (
@@ -27,7 +30,7 @@ from .graphs import read_graph, to_dot, write_graph
 from .realize import realize_table
 from .sequences import check_neighborhood
 from .trees import Forest, iter_collection
-from .unfold import ball_ids, first_mismatch_in
+from .unfold import ball_ids, first_difference, first_mismatch_in
 
 # Not called here; perfbench/tracer.py wraps these names in this module.
 # They come from their home modules: the package's own exports load lazily.
@@ -83,17 +86,28 @@ def _write(path: str, emit: Callable[[IO[str]], object]) -> None:
 def _load_trees(path: str, override: int | None) -> tuple[Forest, list[int], int]:
     """The collection in one Forest, its root ids, and the override or else the deepest depth (>= 1)."""
     forest = Forest()
-    pairs = list(iter_collection(_read_lines(path), forest=forest))
+    return (forest, *_roots(_read_lines(path), override, forest))
+
+
+def _roots(
+    lines: Iterable[str], override: int | None, forest: Forest, known: Mapping[str, int] | None = None
+) -> tuple[list[int], int]:
+    """Root ids of the collection in `forest`, and the override or else the deepest depth (>= 1).
+
+    Errors come in this order: a malformed line, then `override`, then a tree deeper than it.
+    `known` is handed to :func:`iter_collection`.
+    """
+    pairs = list(iter_collection(lines, forest=forest, known=known))
     roots = [t for _, t in pairs]
     if override is None:
-        return forest, roots, max(1, max([forest.depths[t] for t in roots], default=0))
+        return roots, max(1, max([forest.depths[t] for t in roots], default=0))
     if override < 1:
         raise DepthError("--depth must be >= 1")
     offenders = [i for i, (_, t) in enumerate(pairs) if forest.depths[t] > override]
     if offenders:
-        lines = [pairs[i][0] for i in offenders]
-        raise DepthError(f"trees deeper than --depth {override} on line(s) {lines}", indices=tuple(offenders))
-    return forest, roots, override
+        numbers = [pairs[i][0] for i in offenders]
+        raise DepthError(f"trees deeper than --depth {override} on line(s) {numbers}", indices=tuple(offenders))
+    return roots, override
 
 
 def _verdict_payload(verdict, depth: int) -> dict:
@@ -149,10 +163,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.graph == "-" and args.trees == "-":
         raise UnicoverError("the graph and the trees cannot both be read from stdin ('-')")
     graph = read_graph(_read_lines(args.graph))
-    forest, roots, depth = _load_trees(args.trees, args.depth)
+    lines = _read_lines(args.trees)
+    forest = Forest()
+    balls = known = None
+    if args.depth is not None and args.depth >= 1:
+        balls = ball_ids(forest, graph, args.depth)
+        known = {forest.codes[t]: t for t in balls}
+    roots, depth = _roots(lines, args.depth, forest, known)
     if len(roots) != graph.n:
         raise UnicoverError(f"{len(roots)} trees for a graph on {graph.n} vertices")
-    bad = first_mismatch_in(forest, graph, roots, depth)
+    if balls is None:  # the radius was the deepest tree's depth
+        balls = ball_ids(forest, graph, depth)
+    bad = first_difference(balls, roots)
     if bad is None:
         print(f"ok: all {graph.n} vertices match at depth {depth}", file=sys.stderr)
         return 0

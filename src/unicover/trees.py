@@ -21,7 +21,7 @@ its first fault and that fault's position.
 
 from __future__ import annotations
 
-from typing import IO, Container, Iterable, Iterator
+from typing import IO, Container, Iterable, Iterator, Mapping
 
 from .errors import ParseError
 
@@ -370,14 +370,17 @@ def count_nodes(tree: RootedTree) -> int:
     return total
 
 
-def iter_collection(lines: Iterable[str], *, forest: Forest) -> Iterator[tuple[int, int]]:
+def iter_collection(
+    lines: Iterable[str], *, forest: Forest, known: Mapping[str, int] | None = None
+) -> Iterator[tuple[int, int]]:
     """Yield (line number, id in `forest`) for each tree line of a collection file.
 
     Blank lines and lines starting with '#' are skipped.  Line numbers are
     1-based and refer to the raw input.  Each distinct line is parsed once
-    per call.
+    per call.  `known` maps canonical codes to their ids in `forest`; a line
+    that spells one of them is looked up, not parsed.
     """
-    seen: dict[str, int] = {}
+    seen: dict[str, int] = dict(known or {})
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -6,9 +6,12 @@ explicitly.  A ball of radius r around a vertex is built from the walks
 that never reverse the edge just used, which on a simple graph is the same
 as never returning to the previous vertex.  Balls are interned into a
 :class:`~unicover.trees.Forest` level by level, bottom-up, so nothing
-recurses and no code string is parsed back.  :func:`ball_ids` and
+recurses and no code string is parsed back.  Once a level leaves every
+directed edge's subtree as it was (only when every walk ends, as on a
+forest), the remaining levels are skipped.  :func:`ball_ids` and
 :func:`first_mismatch_in` work in the caller's Forest, so balls compare
-with trees parsed into it by id.
+with trees parsed into it by id, and :func:`first_difference` compares
+balls already unfolded.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "verify_realization",
     "first_mismatch",
     "first_mismatch_in",
+    "first_difference",
 ]
 
 
@@ -34,6 +38,8 @@ def ball_ids(forest: Forest, graph: SimpleGraph, radius: int) -> list[int]:
     The walks below a step v -> w depend only on (w, v, levels left), so the
     balls are built bottom-up over directed edges, one level at a time, in
     O(radius * sum of squared degrees) node lookups whatever the ball sizes.
+    A level that changes no edge's id is a fixed point, so the levels after
+    it are skipped: on a forest the work stops at its longest walk.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -49,7 +55,10 @@ def ball_ids(forest: Forest, graph: SimpleGraph, radius: int) -> list[int]:
     # below[e]: id of the walks after step e, one more level each pass.
     below = [forest.leaf] * len(succ)
     for _ in range(radius - 1):
-        below = [forest.node([below[f] for f in nxt]) for nxt in succ]
+        level = [forest.node([below[f] for f in nxt]) for nxt in succ]
+        if level == below:
+            break
+        below = level
     return [forest.node([below[e] for e in steps]) for steps in out]
 
 
@@ -101,7 +110,11 @@ def first_mismatch_in(forest: Forest, graph: SimpleGraph, roots: Sequence[int], 
     """:func:`first_mismatch` for the trees with ids `roots` in `forest`."""
     if len(roots) != graph.n:
         raise ValueError(f"{len(roots)} trees for a graph on {graph.n} vertices")
-    balls = ball_ids(forest, graph, radius)
+    return first_difference(ball_ids(forest, graph, radius), roots)
+
+
+def first_difference(balls: Sequence[int], roots: Sequence[int]) -> int | None:
+    """Lowest index where the ball ids and the root ids of one Forest differ, or None."""
     return next((v for v, (got, want) in enumerate(zip(balls, roots)) if got != want), None)
 
 

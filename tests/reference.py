@@ -11,14 +11,20 @@ must equal the stored supports.  The parser that took one step per
 character: `Forest.parse` must give the same id, or fail with the same
 message, on every string.  The realization that built every part as a
 `SimpleGraph`/`Digraph`, glued them and validated the union again:
-`realize_table` must give the same graph, or raise the same error.
+`realize_table` must give the same graph, or raise the same error.  The
+`verify` command as it was when it parsed every tree line before unfolding:
+matching canonical lines by their code must not change an exit code or a
+byte of output.
 """
 
 from __future__ import annotations
 
+import argparse
+import sys
 from typing import Sequence
 
 from unicover import (
+    DepthError,
     Digraph,
     EdgeType,
     InternalInvariantError,
@@ -27,11 +33,15 @@ from unicover import (
     SimplicityViolation,
     TypeClass,
     TypedDegreeTable,
+    UnicoverError,
     havel_hakimi,
     kleitman_wang,
+    read_graph,
 )
+from unicover.cli import _read_lines
 from unicover.edge_types import _edge_pairs
-from unicover.trees import Forest
+from unicover.trees import Forest, iter_collection
+from unicover.unfold import first_mismatch_in
 
 
 def parse_by_character(forest: Forest, text: str) -> int:
@@ -215,3 +225,31 @@ def realize_parts(table: TypedDegreeTable) -> SimpleGraph:
         for etype, (_, counts) in table.plan.items()
     ]
     return glue_parts(table, parts)
+
+
+def verify_by_parsing(args: argparse.Namespace) -> int:
+    """`unicover verify` parsing every tree line, then unfolding at the radius it settles on."""
+    if args.graph == "-" and args.trees == "-":
+        raise UnicoverError("the graph and the trees cannot both be read from stdin ('-')")
+    graph = read_graph(_read_lines(args.graph))
+    forest = Forest()
+    pairs = list(iter_collection(_read_lines(args.trees), forest=forest))
+    roots = [t for _, t in pairs]
+    if args.depth is None:
+        depth = max(1, max([forest.depths[t] for t in roots], default=0))
+    else:
+        if args.depth < 1:
+            raise DepthError("--depth must be >= 1")
+        offenders = [i for i, (_, t) in enumerate(pairs) if forest.depths[t] > args.depth]
+        if offenders:
+            lines = [pairs[i][0] for i in offenders]
+            raise DepthError(f"trees deeper than --depth {args.depth} on line(s) {lines}", indices=tuple(offenders))
+        depth = args.depth
+    if len(roots) != graph.n:
+        raise UnicoverError(f"{len(roots)} trees for a graph on {graph.n} vertices")
+    bad = first_mismatch_in(forest, graph, roots, depth)
+    if bad is None:
+        print(f"ok: all {graph.n} vertices match at depth {depth}", file=sys.stderr)
+        return 0
+    print(f"mismatch at vertex {bad}", file=sys.stderr)
+    return 1

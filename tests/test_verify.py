@@ -1,0 +1,150 @@
+"""`unicover verify`: canonical lines matched by their code, and unfolding that stops early.
+
+With `--depth H` the balls are unfolded before the trees are loaded, and a
+line that spells a ball's canonical code is looked up rather than parsed.
+`reference.verify_by_parsing` parses every line first; both must give the
+same exit code, stdout and stderr on every input.
+"""
+
+from __future__ import annotations
+
+import io
+import random
+
+import pytest
+
+import unicover
+from reference import verify_by_parsing
+from treegen import random_graph
+from unicover import cli, trees
+from unicover.cli import main
+
+LOOKUP = cli.cmd_verify
+
+
+def write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def graph_text(graph: unicover.SimpleGraph) -> str:
+    buf = io.StringIO()
+    unicover.write_graph(graph, buf)
+    return buf.getvalue()
+
+
+def spelled_backwards(tree: unicover.RootedTree) -> str:
+    """The tree's word with every child list reversed: not canonical where two children differ."""
+    return "(" + "".join(spelled_backwards(c) for c in reversed(tree.children)) + ")"
+
+
+def chain(length: int) -> str:
+    return "(" * length + ")" * length
+
+
+def path_balls(n: int) -> list[str]:
+    """Balls of the path on n vertices at any radius of at least n - 1."""
+    return ["(" + "".join(chain(a) for a in sorted((v, n - 1 - v)) if a) + ")" for v in range(n)]
+
+
+def variants(balls: list[unicover.RootedTree], h: int) -> dict[str, list[str]]:
+    """Tree files, as lists of lines, built from the canonical balls of one graph at radius h."""
+    codes = [unicover.canonical_code(b) for b in balls]
+    i, j = next((i, j) for i in range(len(codes)) for j in range(i) if codes[i] != codes[j])
+    k = next(k for k, b in enumerate(balls) if spelled_backwards(b) != codes[k])
+    swapped = list(codes)
+    swapped[i], swapped[j] = codes[j], codes[i]
+    return {
+        "canonical": codes,
+        "swapped": swapped,
+        "non-canonical": codes[:k] + [spelled_backwards(balls[k])] + codes[k + 1 :],
+        "another vertex's ball": codes[:i] + [codes[j]] + codes[i + 1 :],
+        "padded, comments, blanks": ["# balls", ""] + [f" \t{c}  " for c in codes[:-1]] + ["", "#", codes[-1]],
+        "too few": codes[:-1],
+        "too many": codes + codes[:1],
+        "malformed after canonical": codes[:-1] + ["(()"],
+        "deeper than h": codes[:-1] + [chain(h + 2)],
+        "empty": [],
+    }
+
+
+def both(capsys, monkeypatch, argv: list[str], stdin: str | None = None) -> list[tuple[int, str, str]]:
+    """Outcome of `verify` as it is, then as `verify_by_parsing`; `stdin` is fed fresh to each."""
+    outcomes = []
+    for command in (LOOKUP, verify_by_parsing):
+        monkeypatch.setattr(cli, "cmd_verify", command)
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8"))
+        outcomes.append(run(capsys, "verify", *argv))
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "graph, h, depths",
+    [
+        # Balls on a graph with cycles grow exponentially with the radius, so it stays small.
+        (random_graph(random.Random(5), 9, 0.35), 2, ("4",)),
+        # A path, a star and an isolated vertex: the balls stop growing at radius 5.
+        (unicover.SimpleGraph(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (6, 8), (6, 9)]), 6, ("1000",)),
+    ],
+    ids=["cycles", "forest"],
+)
+def test_lookup_gives_the_outcome_of_parsing_every_line(graph, h, depths, tmp_path, capsys, monkeypatch):
+    g = write(tmp_path / "g.txt", graph_text(graph))
+    seen = set()
+    for name, lines in variants(unicover.neighborhood_collection(graph, h), h).items():
+        text = "".join(line + "\n" for line in lines)
+        t = write(tmp_path / "t.txt", text)
+        for depth in (None, "0", "-3", str(h - 1), str(h), str(h + 1), *depths):
+            flag = [] if depth is None else ["--depth", depth]
+            for argv, stdin in (([g, t], None), ([g, "-"], text), (["-", t], graph_text(graph))):
+                got, want = both(capsys, monkeypatch, argv + flag, stdin)
+                assert got == want, (name, depth, argv)
+                seen.add(got[0])
+    assert seen == {0, 1, 2}
+
+
+def test_canonical_lines_with_a_depth_are_not_parsed(tmp_path, capsys, monkeypatch):
+    graph = random_graph(random.Random(6), 12, 0.3)
+    balls = unicover.neighborhood_collection(graph, 3)
+    codes = [unicover.canonical_code(b) for b in balls]
+    g = write(tmp_path / "g.txt", graph_text(graph))
+    t = write(tmp_path / "t.txt", "# balls at radius 3\n" + "".join(f"  {c}\n\n" for c in codes))
+    parsed = []
+    parse = trees.Forest.parse
+    monkeypatch.setattr(trees.Forest, "parse", lambda self, text: parsed.append(text) or parse(self, text))
+    assert run(capsys, "verify", g, t, "--depth", "3")[0] == 0
+    assert parsed == []
+    # Without --depth the radius comes from the trees, so each distinct line is parsed.
+    assert run(capsys, "verify", g, t)[0] == 0
+    assert sorted(parsed) == sorted(set(codes))
+    # With it, only a line that is not a ball's canonical code is parsed.
+    parsed.clear()
+    k = next(k for k, b in enumerate(balls) if spelled_backwards(b) != codes[k])
+    codes[k] = spelled_backwards(balls[k])
+    t = write(tmp_path / "t.txt", "".join(c + "\n" for c in codes))
+    assert run(capsys, "verify", g, t, "--depth", "3")[0] == 0
+    assert parsed == [codes[k]]
+
+
+@pytest.mark.parametrize("n", [2, 5], ids=["K2", "path5"])
+def test_unfolding_stops_once_the_balls_stop_growing(n, tmp_path, capsys, monkeypatch):
+    # Each level costs one node call per directed edge; all 99,999 levels
+    # would be 2·10⁵ calls on K2 and 8·10⁵ on the path.
+    calls = []
+    node = trees.Forest.node
+    monkeypatch.setattr(trees.Forest, "node", lambda self, kids: calls.append(1) or node(self, kids))
+    g = write(tmp_path / "g.txt", f"n={n}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+    want = "".join(ball + "\n" for ball in path_balls(n))
+    assert run(capsys, "neighborhoods", g, "--depth", "100000") == (0, want, "")
+    assert len(calls) < 100
+    calls.clear()
+    t = write(tmp_path / "t.txt", want)
+    assert run(capsys, "verify", g, t, "--depth", "100000") == (0, "", f"ok: all {n} vertices match at depth 100000\n")
+    assert len(calls) < 100

@@ -91,3 +91,39 @@ def hub_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
     pairs = list(zip(out, inn))
     rng.shuffle(pairs)
     return pairs
+
+
+def gnm(rng: random.Random, n: int, m: int) -> list[tuple[int, int]]:
+    """Uniform simple graph with n vertices and m edges, as a sorted edge list; O(m) expected."""
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return sorted(edges)
+
+
+def configuration(rng: random.Random, degrees: list[int]) -> list[tuple[int, int]]:
+    """Uniform simple graph with the given degrees, by rejection of whole stub pairings."""
+    stubs = [v for v, d in enumerate(degrees) for _ in range(d)]
+    if len(stubs) % 2:
+        raise ValueError("degree sum must be even")
+    while True:
+        rng.shuffle(stubs)
+        edges = set()
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            key = (min(u, v), max(u, v))
+            if u == v or key in edges:
+                break
+            edges.add(key)
+        else:
+            return sorted(edges)
+
+
+def cubic_minus(rng: random.Random, n: int, deleted: int) -> list[tuple[int, int]]:
+    """Random 3-regular graph on n vertices with `deleted` edges removed."""
+    edges = configuration(rng, [3] * n)
+    for i in sorted(rng.sample(range(len(edges)), deleted), reverse=True):
+        del edges[i]
+    return edges
