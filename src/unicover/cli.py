@@ -8,6 +8,9 @@ tree collection once, into one Forest, and works on the root ids from then on.
 `verify --depth H` (H >= 1) reads both files, unfolds the balls into that
 Forest, and only then loads the trees: a line that spells a ball's
 canonical code is matched by that code, and only the other lines are parsed.
+It unfolds no deeper than the longest line can spell: a line of L
+characters holds no tree of depth L // 2, so a ball still growing at that
+radius matches no line, and one that has stopped is the same at radius H.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .graphs import read_graph, to_dot, write_graph
 from .realize import realize_table
 from .sequences import check_neighborhood
 from .trees import Forest, iter_collection
-from .unfold import ball_ids, first_difference, first_mismatch_in
+from .unfold import ball_ids, first_difference
 
 # Not called here; perfbench/tracer.py wraps these names in this module.
 # They come from their home modules: the package's own exports load lazily.
@@ -83,12 +86,6 @@ def _write(path: str, emit: Callable[[IO[str]], object]) -> None:
         raise UnicoverError(f"cannot write {'stdout' if path == '-' else path}: {exc.strerror}") from None
 
 
-def _load_trees(path: str, override: int | None) -> tuple[Forest, list[int], int]:
-    """The collection in one Forest, its root ids, and the override or else the deepest depth (>= 1)."""
-    forest = Forest()
-    return (forest, *_roots(_read_lines(path), override, forest))
-
-
 def _roots(
     lines: Iterable[str], override: int | None, forest: Forest, known: Mapping[str, int] | None = None
 ) -> tuple[list[int], int]:
@@ -119,7 +116,8 @@ def _verdict_payload(verdict, depth: int) -> dict:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    forest, roots, depth = _load_trees(args.trees, args.depth)
+    forest = Forest()
+    roots, depth = _roots(_read_lines(args.trees), args.depth, forest)
     table = table_from_ids(forest, roots, depth)
     verdict = check_neighborhood(table)
     payload = _verdict_payload(verdict, depth)
@@ -130,7 +128,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    forest, roots, depth = _load_trees(args.trees, args.depth)
+    forest = Forest()
+    roots, depth = _roots(_read_lines(args.trees), args.depth, forest)
     table = table_from_ids(forest, roots, depth)
     verdict = check_neighborhood(table)
     if not verdict.graphical:
@@ -139,7 +138,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
         return 1
     graph = realize_table(table)
     if args.verify:
-        bad = first_mismatch_in(forest, graph, roots, depth)
+        bad = first_difference(ball_ids(forest, graph, depth), roots)
         if bad is not None:
             raise InternalInvariantError(f"realized graph fails verification at vertex {bad}")
     if args.format == "dot":
@@ -167,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     forest = Forest()
     balls = known = None
     if args.depth is not None and args.depth >= 1:
-        balls = ball_ids(forest, graph, args.depth)
+        balls = ball_ids(forest, graph, min(args.depth, max(map(len, lines), default=0) // 2))
         known = {forest.codes[t]: t for t in balls}
     roots, depth = _roots(lines, args.depth, forest, known)
     if len(roots) != graph.n:

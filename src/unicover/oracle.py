@@ -25,7 +25,7 @@ from .graphs import Digraph, SimpleGraph
 from .realize import realize_table
 from .sequences import check_neighborhood
 from .trees import Forest, RootedTree
-from .unfold import ball_ids, first_mismatch_in
+from .unfold import ball_ids, first_difference
 
 __all__ = [
     "MAX_GRAPH_VERTICES",
@@ -80,7 +80,7 @@ def exists_realization_bruteforce(trees: Sequence[RootedTree], depth: int) -> Si
     for graph in enumerate_graphs(n):
         if root_degrees is not None and graph.degree_sequence() != root_degrees:
             continue
-        if first_mismatch_in(forest, graph, roots, depth) is None:
+        if first_difference(ball_ids(forest, graph, depth), roots) is None:
             return graph
     return None
 
@@ -217,7 +217,7 @@ def _judge(forest: Forest, roots: Sequence[int], depth: int, truth: bool, why: s
         except UnicoverError as exc:
             detail = f"realize raised {type(exc).__name__}: {exc}"
         else:
-            if first_mismatch_in(forest, graph, roots, depth) is not None:
+            if first_difference(ball_ids(forest, graph, depth), roots) is not None:
                 detail = "realization failed per-index verification"
     return Disagreement(tuple(forest.codes[t] for t in roots), verdict, truth, detail) if detail else None
 

@@ -3,9 +3,14 @@
 Each entry of the table's plan becomes one part: a diagonal type a simple
 graph with the prescribed degree vector, an inverse pair of non-diagonal
 types a loopless digraph with the prescribed (out, in) vectors.  The union
-of the edge sets is the realization.  It is provably simple for tables
-harvested from any graph, so a collision while placing the parts is
-treated as an internal bug, never as bad input.
+of the edge sets is the realization.  It is provably simple for every table
+built from trees, so a collision while placing the parts is treated as an
+internal bug, never as bad input.  Were uv placed as types (a, b) and (c, d)
+at u, thus (b, a) and (d, c) at v, with a = u's tree less child b cut to
+depth h - 1 and so on, then b, d agreeing to depth k makes a, c agree to
+depth k + 1 and back, so the types are one.  At a single root the same
+induction leaves no vertex on both sides of an inverse pair, or in two
+diagonal types.
 
 Both realizers are deterministic greedies; identical inputs produce
 identical edge lists byte for byte.  :func:`realize_table` takes one pass

@@ -9,8 +9,8 @@ diagonal type must have a graphical count vector and every inverse pair of
 non-diagonal types must have a digraphical (out, in) vector pair.
 
 Both tests return the smallest violated index k.  A support of s vertices
-costs O(s) for the subsum test and O(s log s) for the directed one (the
-sort), so a whole table costs about the sum of its supports.
+costs O(s log s) in either test (the sort), so a whole table costs about
+the sum of its supports times their logarithm.
 """
 
 from __future__ import annotations
@@ -63,27 +63,20 @@ def _first_subsum_violation(degrees: Sequence[int]) -> int | None:
     k is counted over the non-increasing reordering of the positive entries
     of `degrees`; zeros can never be the first violation, since a violation
     among them implies one at the last positive entry.  With s positive
-    entries this runs in O(s): a count array sorts them and gives, for each
-    k, how many are >= k, and prefix sums give the tail beyond those.
+    entries this runs in O(s log s): one sort, prefix sums, and a pointer to
+    the end of the entries >= k that only moves down as k grows.
     """
-    pos = [d for d in degrees if d > 0]
-    s = len(pos)
-    if s == 0:
-        return None
-    if max(pos) > s - 1:
-        # The largest entry alone exceeds 0 + (s - 1) * 1.
-        return 1
-    count = [0] * s
-    for d in pos:
-        count[d] += 1
-    desc = [d for d in range(s - 1, 0, -1) for _ in range(count[d])]
+    desc = sorted((d for d in degrees if d > 0), reverse=True)
+    s = len(desc)
     prefix = [0, *accumulate(desc)]  # prefix[j] = sum of the j largest
-    at_least = [*accumulate(reversed(count))][::-1] + [0]  # at_least[k] = entries >= k
+    p = s  # desc[:p] holds the entries >= k
     for k in range(1, s + 1):
-        # Past position k, the entries >= k run to position p and count k
+        while p and desc[p - 1] < k:
+            p -= 1
+        # Past position k, the entries >= k run to position q and count k
         # each; the rest of the tail counts in full.
-        p = max(k, at_least[k])
-        if prefix[k] > k * (k - 1) + k * (p - k) + prefix[s] - prefix[p]:
+        q = max(k, p)
+        if prefix[k] > k * (k - 1) + k * (q - k) + prefix[s] - prefix[q]:
             return k
     return None
 
@@ -171,8 +164,7 @@ def check_neighborhood(table: TypedDegreeTable) -> Verdict:
     (unequal totals likewise get their own kind).  Failures are collected
     exhaustively, never short-circuited.  Each type is tested on its
     support only: vertices with no edges of the type cannot change the
-    verdict or the witness.  A diagonal support of s vertices costs O(s),
-    an inverse pair's joint support O(s log s).
+    verdict or the witness.  A support of s vertices costs O(s log s).
     """
     failures: list[FailureRecord] = []
     for etype, (_, counts) in table.plan.items():

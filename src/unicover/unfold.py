@@ -8,10 +8,9 @@ as never returning to the previous vertex.  Balls are interned into a
 :class:`~unicover.trees.Forest` level by level, bottom-up, so nothing
 recurses and no code string is parsed back.  Once a level leaves every
 directed edge's subtree as it was (only when every walk ends, as on a
-forest), the remaining levels are skipped.  :func:`ball_ids` and
-:func:`first_mismatch_in` work in the caller's Forest, so balls compare
-with trees parsed into it by id, and :func:`first_difference` compares
-balls already unfolded.
+forest), the remaining levels are skipped.  :func:`ball_ids` works in the
+caller's Forest, so balls compare with trees parsed into it by id, and
+:func:`first_difference` compares those ids.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "neighborhood_collection",
     "verify_realization",
     "first_mismatch",
-    "first_mismatch_in",
     "first_difference",
 ]
 
@@ -103,11 +101,7 @@ def neighborhood_collection(graph: SimpleGraph, radius: int) -> list[RootedTree]
 def first_mismatch(graph: SimpleGraph, trees: Sequence[RootedTree], radius: int) -> int | None:
     """Lowest vertex whose cover ball differs from its tree, or None."""
     forest = Forest()
-    return first_mismatch_in(forest, graph, list(forest.intern(trees)), radius)
-
-
-def first_mismatch_in(forest: Forest, graph: SimpleGraph, roots: Sequence[int], radius: int) -> int | None:
-    """:func:`first_mismatch` for the trees with ids `roots` in `forest`."""
+    roots = list(forest.intern(trees))
     if len(roots) != graph.n:
         raise ValueError(f"{len(roots)} trees for a graph on {graph.n} vertices")
     return first_difference(ball_ids(forest, graph, radius), roots)

@@ -41,7 +41,7 @@ from unicover import (
 from unicover.cli import _read_lines
 from unicover.edge_types import _edge_pairs
 from unicover.trees import Forest, iter_collection
-from unicover.unfold import first_mismatch_in
+from unicover.unfold import ball_ids, first_difference
 
 
 def parse_by_character(forest: Forest, text: str) -> int:
@@ -247,7 +247,7 @@ def verify_by_parsing(args: argparse.Namespace) -> int:
         depth = args.depth
     if len(roots) != graph.n:
         raise UnicoverError(f"{len(roots)} trees for a graph on {graph.n} vertices")
-    bad = first_mismatch_in(forest, graph, roots, depth)
+    bad = first_difference(ball_ids(forest, graph, depth), roots)
     if bad is None:
         print(f"ok: all {graph.n} vertices match at depth {depth}", file=sys.stderr)
         return 0

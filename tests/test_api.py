@@ -6,6 +6,7 @@ import ast
 import copy
 import pickle
 import re
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,13 @@ def test_readme_library_names_every_export():
 def test_readme_library_example_uses_only_exports():
     used = set(re.findall(r"\buc\.(\w+)", _library_section()))
     assert used and used <= set(unicover.__all__)
+
+
+def test_readme_library_helpers_exist():
+    # A helper deleted without its README line fails here.
+    dotted = re.findall(r"\bunicover\.(\w+)\.(\w+)", _library_section())
+    assert len(dotted) > 5
+    assert [f"{m}.{n}" for m, n in dotted if not hasattr(import_module(f"unicover.{m}"), n)] == []
 
 
 def test_records_are_immutable():

@@ -13,6 +13,7 @@ import pytest
 
 from unicover import cli, graphs, oracle, trees
 from unicover.cli import main
+from unicover.trees import Forest
 from treegen import cycle_graph, random_graph
 
 import unicover
@@ -163,7 +164,7 @@ def test_depth_error_lists_tree_positions_and_names_lines(tmp_path, capsys):
     # The comment line makes the deep tree's position (1) differ from its line (3).
     trees = write(tmp_path / "t.txt", "# a path's end and middle\n(())\n((()))\n")
     with pytest.raises(unicover.DepthError) as err:
-        cli._load_trees(trees, 1)
+        cli._roots(cli._read_lines(trees), 1, Forest())
     assert err.value.indices == (1,)
     code, out, err = run(capsys, "check", trees, "--depth", "1")
     assert (code, out, err) == (2, "", "error: trees deeper than --depth 1 on line(s) [3]\n")

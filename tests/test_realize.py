@@ -33,9 +33,11 @@ from unicover import (
 import unicover.realize
 from unicover.edge_types import table_from_ids
 from unicover.realize import realize_table
-from unicover.trees import Forest, iter_collection
+from unicover.oracle import mutate_collection
+from unicover.trees import Forest, iter_collection, truncate
+from unicover.unfold import ball_ids, first_difference
 from reference import havel_hakimi_dense, kleitman_wang_dense, realize_parts
-from treegen import hub_pairs, path_graph, random_graph, star_and_head_degrees
+from treegen import hub_pairs, path_graph, random_graph, random_tree, star_and_head_degrees
 
 DIAG = EdgeType("()", "()")
 DIAG2 = EdgeType("(())", "(())")
@@ -423,6 +425,45 @@ def test_realize_table_matches_the_part_by_part_reference_on_the_golden_corpus()
             realizable += 1
             _assert_same_graph(table)
     assert realizable > 50
+
+
+def _random_collection(rng: random.Random, n: int, h: int) -> list[unicover.RootedTree]:
+    """A harvest, a mutated harvest, balls drawn from several graphs, or random trees, all of depth <= h."""
+    harvest = neighborhood_collection(random_graph(rng, n, rng.random()), h)
+    kind = rng.randrange(4)
+    if kind == 1:
+        for _ in range(rng.randrange(1, 4)):
+            harvest = mutate_collection(harvest, rng)
+    elif kind == 2:
+        pool = harvest + neighborhood_collection(random_graph(rng, n, rng.random()), h)
+        harvest = [rng.choice(pool) for _ in range(n)]
+    elif kind == 3:
+        harvest = [truncate(random_tree(rng, rng.randrange(1, 8)), h) for _ in range(n)]
+    return harvest
+
+
+def test_parts_never_collide_on_tables_built_from_any_trees():
+    # realize.py's argument: no vertex is on both sides of an inverse pair or
+    # in two diagonal types, so every accepted table realizes without a collision.
+    rng = random.Random(31)
+    accepted = 0
+    for _ in range(600):
+        n, h = rng.randrange(1, 13), rng.randrange(1, 5)
+        forest = Forest()
+        roots = list(forest.intern(_random_collection(rng, n, h)))
+        table = table_from_ids(forest, roots, h)
+        diagonal_vertices: list[int] = []
+        for etype, (vertices, counts) in table.plan.items():
+            if etype.near == etype.far:
+                diagonal_vertices += vertices
+            else:
+                assert all(0 in pair for pair in counts), (etype, counts)
+        assert len(diagonal_vertices) == len(set(diagonal_vertices))
+        if check_neighborhood(table).graphical:
+            accepted += 1
+            graph = realize_table(table)
+            assert first_difference(ball_ids(forest, graph, h), roots) is None
+    assert accepted > 150
 
 
 def test_trusted_graph_constructor_matches_the_validating_one():

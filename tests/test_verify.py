@@ -2,14 +2,19 @@
 
 With `--depth H` the balls are unfolded before the trees are loaded, and a
 line that spells a ball's canonical code is looked up rather than parsed.
-`reference.verify_by_parsing` parses every line first; both must give the
-same exit code, stdout and stderr on every input.
+They are unfolded no deeper than the longest line can spell.
+`reference.verify_by_parsing` parses every line first and unfolds at H;
+both must give the same exit code, stdout and stderr on every input.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,8 +97,15 @@ def both(capsys, monkeypatch, argv: list[str], stdin: str | None = None) -> list
         (random_graph(random.Random(5), 9, 0.35), 2, ("4",)),
         # A path, a star and an isolated vertex: the balls stop growing at radius 5.
         (unicover.SimpleGraph(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (6, 8), (6, 9)]), 6, ("1000",)),
+        # One cycle with pendant paths: the balls grow at every radius, but only
+        # linearly, so the parsing reference can still unfold far past the lines' depth.
+        (
+            unicover.SimpleGraph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (5, 6), (2, 7), (7, 8)]),
+            3,
+            ("40", "300"),
+        ),
     ],
-    ids=["cycles", "forest"],
+    ids=["cycles", "forest", "unicyclic"],
 )
 def test_lookup_gives_the_outcome_of_parsing_every_line(graph, h, depths, tmp_path, capsys, monkeypatch):
     g = write(tmp_path / "g.txt", graph_text(graph))
@@ -148,3 +160,32 @@ def test_unfolding_stops_once_the_balls_stop_growing(n, tmp_path, capsys, monkey
     t = write(tmp_path / "t.txt", want)
     assert run(capsys, "verify", g, t, "--depth", "100000") == (0, "", f"ok: all {n} vertices match at depth 100000\n")
     assert len(calls) < 100
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_a_huge_depth_on_a_branching_graph_still_reports_the_bad_line(tmp_path):
+    # Balls of this graph grow exponentially with the radius, so unfolding it
+    # at --depth 1000 would exhaust any memory; the lines are at most 2 levels deep.
+    pytest.importorskip("resource")
+    graph = random_graph(random.Random(5), 9, 0.35)
+    codes = [unicover.canonical_code(b) for b in unicover.neighborhood_collection(graph, 2)]
+    g = write(tmp_path / "g.txt", graph_text(graph))
+    t = write(tmp_path / "t.txt", "".join(c + "\n" for c in codes[:-1]) + "(()\n")
+    cap = 800 * 2**20  # set by the child on itself
+    entry = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from unicover.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    path = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, "verify", g, t, "--depth", "1000"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: line 9: unbalanced '(': tree text ends too early\n"
+    )
