@@ -21,7 +21,7 @@ import os
 import sys
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
-from .edge_types import table_from_ids
+from .edge_types import TypedDegreeTable, table_from_ids
 from .errors import (
     DepthError,
     InternalInvariantError,
@@ -115,6 +115,16 @@ def _verdict_payload(verdict, depth: int) -> dict:
     }
 
 
+def _emit_explained(out: IO[str], payload: dict, table: TypedDegreeTable) -> None:
+    """`payload` with the table added, as json.dumps(indent=2) would print it, one type at a time."""
+    payload = {**payload, "table": {"h": table.depth, "n": table.n, "types": []}}
+    head, _, tail = json.dumps(payload, indent=2).rpartition('"types": []')
+    out.write(head + '"types": [')
+    for i, entry in enumerate(table.json_types()):
+        out.write((",\n      " if i else "\n      ") + json.dumps(entry, indent=2).replace("\n", "\n      "))
+    out.write(("\n    ]" if table.plan else "]") + tail + "\n")
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     forest = Forest()
     roots, depth = _roots(_read_lines(args.trees), args.depth, forest)
@@ -122,8 +132,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     verdict = check_neighborhood(table)
     payload = _verdict_payload(verdict, depth)
     if args.explain:
-        payload["table"] = table.to_json_dict()
-    _write("-", lambda out: print(json.dumps(payload, indent=2), file=out))
+        _write("-", lambda out: _emit_explained(out, payload, table))
+    else:
+        _write("-", lambda out: print(json.dumps(payload, indent=2), file=out))
     return 0 if verdict.graphical else 1
 
 

@@ -21,7 +21,7 @@ built on request.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DepthError
 from .trees import CanonCode, Forest, FrozenSlots, RootedTree, code_sort_key
@@ -144,21 +144,19 @@ class TypedDegreeTable(FrozenSlots):
         """Every occurring type's length-`n` count vector, built afresh on each access."""
         return {etype: self.degree_vector(etype) for etype in self.supports}
 
+    def json_types(self) -> Iterator[dict]:
+        """The entries of `to_json_dict()["types"]`, one at a time."""
+        for etype, support in self.supports.items():
+            yield {
+                "r": etype.near,
+                "s": etype.far,
+                "class": etype.klass.value,
+                "N": sum([c for _, c in support]),
+                "degrees": list(self.degree_vector(etype)),
+            }
+
     def to_json_dict(self) -> dict:
-        return {
-            "h": self.depth,
-            "n": self.n,
-            "types": [
-                {
-                    "r": etype.near,
-                    "s": etype.far,
-                    "class": etype.klass.value,
-                    "N": sum([c for _, c in support]),
-                    "degrees": list(self.degree_vector(etype)),
-                }
-                for etype, support in self.supports.items()
-            ],
-        }
+        return {"h": self.depth, "n": self.n, "types": list(self.json_types())}
 
 
 def build_table(trees: Sequence[RootedTree], depth: int) -> TypedDegreeTable:

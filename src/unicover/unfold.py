@@ -3,18 +3,20 @@
 The universal cover of a graph is the (usually infinite) tree whose vertices
 are the non-backtracking walks out of a base vertex; it is never built
 explicitly.  A ball of radius r around a vertex is built from the walks
-that never reverse the edge just used, which on a simple graph is the same
-as never returning to the previous vertex.  Balls are interned into a
-:class:`~unicover.trees.Forest` level by level, bottom-up, so nothing
-recurses and no code string is parsed back.  Once a level leaves every
-directed edge's subtree as it was (only when every walk ends, as on a
-forest), the remaining levels are skipped.  :func:`ball_ids` works in the
-caller's Forest, so balls compare with trees parsed into it by id, and
-:func:`first_difference` compares those ids.
+that never return to the previous vertex.  A step is a position in the
+graph's own ascending `adj`, so the step back is found by bisection and no
+arc table is built.  Balls are interned into a :class:`~unicover.trees.Forest`
+level by level, bottom-up, so nothing recurses and no code string is parsed
+back.  Once a level leaves every step's subtree as it was (only when every
+walk ends, as on a forest), the remaining levels are skipped.  :func:`ball_ids`
+works in the caller's Forest, so balls compare with trees parsed into it by
+id, and :func:`first_difference` compares those ids.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Sequence
 
 from .graphs import SimpleGraph
@@ -44,20 +46,18 @@ def ball_ids(forest: Forest, graph: SimpleGraph, radius: int) -> list[int]:
     adj = graph.adj
     if radius == 0:
         return [forest.leaf] * graph.n
-    # Number the directed edges v -> w; succ[e] lists the steps that may
-    # follow e without reversing it, out[v] the steps leaving v.
-    arcs = [(v, w) for v in range(graph.n) for w in adj[v]]
-    index = {arc: e for e, arc in enumerate(arcs)}
-    succ = [[index[(w, x)] for x in adj[w] if x != v] for v, w in arcs]
-    out = [[index[(v, w)] for w in adj[v]] for v in range(graph.n)]
+    # Step v -> adj[v][i] is arc start[v] + i.  The steps that may follow v -> w
+    # are w's arcs a to b, less arc j back to v (adj[w] ascends).
+    start = [0, *accumulate(map(len, adj))]
+    spans = [(start[w], start[w] + bisect_left(adj[w], v), start[w + 1]) for v, ws in enumerate(adj) for w in ws]
     # below[e]: id of the walks after step e, one more level each pass.
-    below = [forest.leaf] * len(succ)
+    below = [forest.leaf] * start[-1]
     for _ in range(radius - 1):
-        level = [forest.node([below[f] for f in nxt]) for nxt in succ]
+        level = [forest.node(below[a:j] + below[j + 1 : b]) for a, j, b in spans]
         if level == below:
             break
         below = level
-    return [forest.node([below[e] for e in steps]) for steps in out]
+    return [forest.node(below[start[v] : start[v + 1]]) for v in range(graph.n)]
 
 
 def cover_ball(graph: SimpleGraph, vertex: int, radius: int) -> RootedTree:

@@ -14,7 +14,9 @@ message, on every string.  The realization that built every part as a
 `realize_table` must give the same graph, or raise the same error.  The
 `verify` command as it was when it parsed every tree line before unfolding:
 matching canonical lines by their code must not change an exit code or a
-byte of output.
+byte of output.  The cover balls written out walk by walk: `ball_ids` must
+give every vertex the same canonical code as its explicit non-backtracking
+walks.
 """
 
 from __future__ import annotations
@@ -70,6 +72,36 @@ def parse_by_character(forest: Forest, text: str) -> int:
     if root is None:
         raise ParseError("unbalanced '(': tree text ends too early")
     return root
+
+
+def ball_codes_by_walks(graph: SimpleGraph, radius: int) -> list[str]:
+    """Each vertex's radius-`radius` ball code, from its non-backtracking walks, with strings only.
+
+    A walk is a tuple of vertices; its children extend it by a neighbour of
+    its last vertex other than the one before that.  Codes are formed from
+    the longest walks up, each node's child codes sorted by (length, code).
+    """
+    neighbours: list[set[int]] = [set() for _ in range(graph.n)]
+    for u, v in graph.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    codes = []
+    for v in range(graph.n):
+        levels = [[(v,)]]
+        for _ in range(radius):
+            levels.append([
+                walk + (x,)
+                for walk in levels[-1]
+                for x in sorted(neighbours[walk[-1]])
+                if len(walk) == 1 or x != walk[-2]
+            ])
+        below: dict[tuple[int, ...], list[str]] = {}
+        for level in reversed(levels):
+            for walk in level:
+                kids = sorted(below.pop(walk, []), key=lambda code: (len(code), code))
+                below.setdefault(walk[:-1], []).append("(" + "".join(kids) + ")")
+        codes.append(below[()][0])
+    return codes
 
 
 def first_subsum_violation(desc: Sequence[int]) -> int | None:

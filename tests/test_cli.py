@@ -14,7 +14,7 @@ import pytest
 from unicover import cli, graphs, oracle, trees
 from unicover.cli import main
 from unicover.trees import Forest
-from treegen import cycle_graph, random_graph
+from treegen import cycle_graph, gnm, random_graph
 
 import unicover
 
@@ -431,6 +431,7 @@ def test_failed_stdout_write_exits_2_for_every_command(tmp_path, capsys, monkeyp
     monkeypatch.setattr("sys.stdout", FullStream())
     for argv in (
         ["check", trees],
+        ["check", trees, "--explain"],
         ["check", bad, "--depth", "2"],
         ["realize", trees],
         ["realize", trees, "--format", "dot"],
@@ -506,6 +507,35 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     runs, files = results[0]
     assert [code for code, _, _ in runs] == [0, 0, 0, 1]
     assert sorted(files) == ["balls.txt", "g.txt", "mutant.txt", "out.graph"]
+
+
+def test_check_explain_streams_the_dense_table_under_a_memory_cap(tmp_path):
+    # 18.8 MB of output; built whole, the payload needs about 145 MB and fails under the cap.
+    pytest.importorskip("resource")
+    n = 600
+    graph = unicover.SimpleGraph(n, gnm(random.Random(1), n, 2 * n))
+    balls = unicover.neighborhood_collection(graph, 3)
+    write(tmp_path / "t.txt", "".join(unicover.canonical_code(b) + "\n" for b in balls))
+    table = unicover.build_table(balls, 3)
+    payload = cli._verdict_payload(unicover.check_neighborhood(table), 3)
+    payload["table"] = table.to_json_dict()
+    want = json.dumps(payload, indent=2) + "\n"
+    del balls, table, payload
+    cap = 100 * 2**20  # set by the child on itself
+    entry = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from unicover.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    path = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, "check", "--explain", "t.txt"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == want
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

@@ -6,6 +6,8 @@ and the edge list of a small graph, then get one edit: a tree word with a
 character dropped, doubled or swapped, a graph file with a bad header, a
 repeated edge or an out-of-range end, or raw bytes in place of either file.
 Depths above 6 are left to the memory-capped test in test_verify.py.
+Where `check` reaches a verdict on at most 5 trees, brute force over every
+graph on that many vertices must agree with it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unicover
-from unicover.cli import main
+from unicover.cli import _read_lines, main
+from unicover.oracle import exists_realization_bruteforce
+from unicover.trees import depth as tree_depth
 
 
 @st.composite
@@ -91,3 +95,8 @@ def test_every_command_exits_0_1_or_2_with_one_line_at_most(data, graph, depth):
             assert code in (0, 1, 2), (argv, err.getvalue())
             assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
             assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), argv
+            if argv[:2] == ["check", str(trees)] and code in (0, 1):
+                collection = unicover.read_collection(_read_lines(str(trees)))
+                if len(collection) <= 5:
+                    h = depth if depth is not None else max(1, max(map(tree_depth, collection), default=0))
+                    assert (code == 0) == (exists_realization_bruteforce(collection, h) is not None), argv

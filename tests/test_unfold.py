@@ -16,6 +16,9 @@ from unicover import (
     truncate,
     verify_realization,
 )
+from unicover.trees import Forest
+from unicover.unfold import ball_ids
+from reference import ball_codes_by_walks
 from treegen import (
     complete_graph,
     cycle_graph,
@@ -151,6 +154,26 @@ def test_tree_graph_is_its_own_cover():
 
         want = canonical_code(bfs_subtree(root, -1, radius))
         assert canonical_code(cover_ball(g, root, radius)) == want
+
+
+def test_ball_ids_match_the_explicit_walks():
+    rng = random.Random(83)
+    graphs = [
+        SimpleGraph(0),
+        SimpleGraph(4),
+        path_graph(6),
+        SimpleGraph(6, [(0, v) for v in range(1, 6)]),
+        SimpleGraph(6, [(0, 1), (2, 3), (4, 5)]),
+        *(cycle_graph(k) for k in range(3, 7)),
+        complete_graph(4),
+        complete_graph(5),
+        *(random_graph(rng, rng.randrange(1, 11), rng.uniform(0.1, 0.6)) for _ in range(40)),
+    ]
+    for g in graphs:
+        for radius in range(6):
+            forest = Forest()
+            got = [forest.codes[t] for t in ball_ids(forest, g, radius)]
+            assert got == ball_codes_by_walks(g, radius), (g, radius)
 
 
 def test_root_degree_matches_base_vertex():
