@@ -31,7 +31,7 @@ from .errors import (
 )
 from .graphs import read_graph, to_dot, write_graph
 from .realize import realize_table
-from .sequences import check_neighborhood
+from .sequences import Verdict, check_neighborhood
 from .trees import Forest, iter_collection
 from .unfold import ball_ids, first_difference
 
@@ -107,22 +107,26 @@ def _roots(
     return roots, override
 
 
-def _verdict_payload(verdict, depth: int) -> dict:
-    return {
-        "graphical": verdict.graphical,
-        "h": depth,
-        "failures": [f.to_json_dict() for f in verdict.failures],
-    }
+def _emit_verdict(out: IO[str], verdict: Verdict, depth: int, table: TypedDegreeTable | None = None) -> None:
+    """The verdict, with `table` if given, as print(json.dumps(payload, indent=2)) writes it.
 
-
-def _emit_explained(out: IO[str], payload: dict, table: TypedDegreeTable) -> None:
-    """`payload` with the table added, as json.dumps(indent=2) would print it, one type at a time."""
-    payload = {**payload, "table": {"h": table.depth, "n": table.n, "types": []}}
-    head, _, tail = json.dumps(payload, indent=2).rpartition('"types": []')
-    out.write(head + '"types": [')
-    for i, entry in enumerate(table.json_types()):
-        out.write((",\n      " if i else "\n      ") + json.dumps(entry, indent=2).replace("\n", "\n      "))
-    out.write(("\n    ]" if table.plan else "]") + tail + "\n")
+    The payload is dumped with empty lists, and each failure and each type is
+    dumped on its own into its list, so the whole text is never built.
+    """
+    payload = {"graphical": verdict.graphical, "h": depth, "failures": []}
+    lists = [(f.to_json_dict() for f in verdict.failures)]
+    if table is not None:
+        payload["table"] = {"h": table.depth, "n": table.n, "types": []}
+        lists.append(table.json_types())
+    *heads, tail = json.dumps(payload, indent=2).split("[]")
+    for head, items, pad in zip(heads, lists, ("\n    ", "\n      ")):
+        out.write(head + "[")
+        sep = pad
+        for item in items:
+            out.write(sep + json.dumps(item, indent=2).replace("\n", pad))
+            sep = "," + pad
+        out.write("]" if sep == pad else pad[:-2] + "]")
+    out.write(tail + "\n")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -130,11 +134,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     roots, depth = _roots(_read_lines(args.trees), args.depth, forest)
     table = table_from_ids(forest, roots, depth)
     verdict = check_neighborhood(table)
-    payload = _verdict_payload(verdict, depth)
-    if args.explain:
-        _write("-", lambda out: _emit_explained(out, payload, table))
-    else:
-        _write("-", lambda out: print(json.dumps(payload, indent=2), file=out))
+    _write("-", lambda out: _emit_verdict(out, verdict, depth, table if args.explain else None))
     return 0 if verdict.graphical else 1
 
 
@@ -145,7 +145,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     verdict = check_neighborhood(table)
     if not verdict.graphical:
         print(f"not graphical at depth {depth}: {NotGraphical(verdict)}", file=sys.stderr)
-        _write("-", lambda out: print(json.dumps(_verdict_payload(verdict, depth), indent=2), file=out))
+        _write("-", lambda out: _emit_verdict(out, verdict, depth))
         return 1
     graph = realize_table(table)
     if args.verify:

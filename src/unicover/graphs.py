@@ -24,6 +24,18 @@ __all__ = [
 ]
 
 
+def _add_edge(seen: set[tuple[int, int]], n: int, u: int, v: int, directed: bool = False) -> None:
+    """Add (u, v) to `seen`, as (min, max) unless `directed`; ValueError if out of range, a loop or a repeat."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"{'arc' if directed else 'edge'} ({u}, {v}) out of range for n={n}")
+    if u == v:
+        raise ValueError(f"loop at vertex {u}")
+    key = (u, v) if directed or u < v else (v, u)
+    if key in seen:
+        raise ValueError(f"repeated arc ({u}, {v})" if directed else f"parallel edge ({key[0]}, {key[1]})")
+    seen.add(key)
+
+
 class SimpleGraph(FrozenSlots):
     """Undirected graph without loops or parallel edges.
 
@@ -39,14 +51,7 @@ class SimpleGraph(FrozenSlots):
             raise ValueError("vertex count must be >= 0")
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"parallel edge ({key[0]}, {key[1]})")
-            seen.add(key)
+            _add_edge(seen, n, u, v)
         self._index(n, seen)
 
     @classmethod
@@ -102,13 +107,7 @@ class Digraph(FrozenSlots):
             raise ValueError("vertex count must be >= 0")
         seen: set[tuple[int, int]] = set()
         for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if (u, v) in seen:
-                raise ValueError(f"repeated arc ({u}, {v})")
-            seen.add((u, v))
+            _add_edge(seen, n, u, v, directed=True)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", tuple(sorted(seen)))
 
@@ -175,14 +174,10 @@ def read_graph(lines: Iterable[str]) -> SimpleGraph:
             u, v = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer endpoint in {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"line {lineno}: parallel edge ({key[0]}, {key[1]})")
-        seen.add(key)
+        try:
+            _add_edge(seen, n, u, v)
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
     if n is None:
         raise GraphFormatError("missing 'n=<count>' header")
     return SimpleGraph._from_checked(n, seen)

@@ -35,7 +35,6 @@ __all__ = [
     "canonical_code",
     "depth",
     "truncate",
-    "count_nodes",
     "iter_collection",
     "read_collection",
     "write_collection",
@@ -357,17 +356,6 @@ def truncate(tree: RootedTree, k: int) -> RootedTree:
     """Subtree of all nodes at depth <= k, in canonical child order."""
     forest, tid = _interned(tree)
     return forest.tree(forest.truncate(tid, k))
-
-
-def count_nodes(tree: RootedTree) -> int:
-    """Number of nodes, root included."""
-    total = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        total += 1
-        stack.extend(node.children)
-    return total
 
 
 def iter_collection(

@@ -16,7 +16,7 @@ message, on every string.  The realization that built every part as a
 matching canonical lines by their code must not change an exit code or a
 byte of output.  The cover balls written out walk by walk: `ball_ids` must
 give every vertex the same canonical code as its explicit non-backtracking
-walks.
+walks.  And a node counter that walks `RootedTree.children` with no Forest.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from unicover import (
     EdgeType,
     InternalInvariantError,
     ParseError,
+    RootedTree,
     SimpleGraph,
     SimplicityViolation,
     TypeClass,
@@ -72,6 +73,17 @@ def parse_by_character(forest: Forest, text: str) -> int:
     if root is None:
         raise ParseError("unbalanced '(': tree text ends too early")
     return root
+
+
+def count_nodes(tree: RootedTree) -> int:
+    """Number of nodes, root included."""
+    total = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        total += 1
+        stack.extend(node.children)
+    return total
 
 
 def ball_codes_by_walks(graph: SimpleGraph, radius: int) -> list[str]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import io
 import json
 import os
@@ -457,20 +458,25 @@ def test_failed_file_write_exits_2(tmp_path, capsys):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def cli_process(work, hash_seed, *argv, stdout=subprocess.PIPE):
-    """The CLI started as its own process in `work` under a fixed PYTHONHASHSEED."""
+def cli_process(work, hash_seed, *argv, stdout=subprocess.PIPE, cap=None):
+    """The CLI started as its own process in `work` under a fixed PYTHONHASHSEED.
+
+    With `cap`, the process first limits its own address space (RLIMIT_AS) to `cap` bytes.
+    """
     path = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=os.pathsep.join(path))
     env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as Python sets it up by default
     entry = "import sys; from unicover.cli import main; sys.exit(main())"
+    if cap is not None:
+        entry = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); {entry}"
     return subprocess.Popen(
         [sys.executable, "-c", entry, *argv], cwd=work, env=env, stdout=stdout, stderr=subprocess.PIPE
     )
 
 
-def run_process(work, hash_seed, *argv, stdout=subprocess.PIPE):
+def run_process(work, hash_seed, *argv, stdout=subprocess.PIPE, cap=None):
     """Run the CLI as its own process; its exit code, stdout and stderr."""
-    with cli_process(work, hash_seed, *argv, stdout=stdout) as proc:
+    with cli_process(work, hash_seed, *argv, stdout=stdout, cap=cap) as proc:
         try:
             out, err = proc.communicate(timeout=120)
         except subprocess.TimeoutExpired:
@@ -517,25 +523,38 @@ def test_check_explain_streams_the_dense_table_under_a_memory_cap(tmp_path):
     balls = unicover.neighborhood_collection(graph, 3)
     write(tmp_path / "t.txt", "".join(unicover.canonical_code(b) + "\n" for b in balls))
     table = unicover.build_table(balls, 3)
-    payload = cli._verdict_payload(unicover.check_neighborhood(table), 3)
-    payload["table"] = table.to_json_dict()
+    verdict = unicover.check_neighborhood(table)
+    failures = [f.to_json_dict() for f in verdict.failures]
+    payload = {"graphical": verdict.graphical, "h": 3, "failures": failures, "table": table.to_json_dict()}
     want = json.dumps(payload, indent=2) + "\n"
-    del balls, table, payload
-    cap = 100 * 2**20  # set by the child on itself
-    entry = (
-        "import resource, sys\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
-        "from unicover.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    path = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-c", entry, "check", "--explain", "t.txt"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == want
+    del balls, table, verdict, failures, payload
+    assert run_process(tmp_path, 0, "check", "--explain", "t.txt", cap=100 * 2**20) == (0, want.encode(), b"")
+
+
+def test_check_streams_a_wide_root_verdict_under_a_memory_cap(tmp_path):
+    # One root with 1,000 distinct children: 88 KB of input, 88.9 MB of output, since each
+    # failure names a near side as long as the input.  Built whole, the verdict text needs
+    # about 280 MB and fails under the cap; written one failure at a time, about 110 MB.
+    pytest.importorskip("resource")
+    pairs = [(a, s - a) for s in range(45) for a in range(s + 1)][:1000]
+    line = "(" + "".join("(" + "()" * a + "(())" * b + ")" for a, b in pairs) + ")"
+    write(tmp_path / "t.txt", line + "\n")
+    verdict = unicover.check_neighborhood(unicover.build_table([unicover.parse_tree(line)], 4))
+    assert len(verdict.failures) == 1000
+    payload = {"graphical": verdict.graphical, "h": 4, "failures": [f.to_json_dict() for f in verdict.failures]}
+    want = hashlib.sha256()
+    for chunk in json.JSONEncoder(indent=2).iterencode(payload):
+        want.update(chunk.encode())
+    want.update(b"\n")
+    del verdict, payload
+    got = hashlib.sha256()
+    with cli_process(tmp_path, 0, "check", "--depth", "4", "t.txt", cap=180 * 2**20) as proc:
+        while chunk := proc.stdout.read(2**20):
+            got.update(chunk)
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
+    assert got.hexdigest() == want.hexdigest()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

@@ -7,7 +7,9 @@ character dropped, doubled or swapped, a graph file with a bad header, a
 repeated edge or an out-of-range end, or raw bytes in place of either file.
 Depths above 6 are left to the memory-capped test in test_verify.py.
 Where `check` reaches a verdict on at most 5 trees, brute force over every
-graph on that many vertices must agree with it.
+graph on that many vertices must agree with it.  Two fixed inputs join them:
+tree words deeper than the recursion limit, and `n=` headers at and past
+`MAX_VERTICES`.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unicover
 from unicover.cli import _read_lines, main
+from unicover.graphs import MAX_VERTICES
 from unicover.oracle import exists_realization_bruteforce
 from unicover.trees import depth as tree_depth
 
@@ -73,6 +77,17 @@ def graph_files(draw, graph: unicover.SimpleGraph) -> bytes:
     return "".join(line + "\n" for line in [header, *lines]).encode()
 
 
+def exit_code(argv: list[str]) -> int:
+    """`main(argv)`'s exit code, once it is known to keep the contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), argv
+    return code
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data(), graph=graphs(), depth=st.one_of(st.none(), st.integers(min_value=-2, max_value=6)))
 def test_every_command_exits_0_1_or_2_with_one_line_at_most(data, graph, depth):
@@ -89,14 +104,60 @@ def test_every_command_exits_0_1_or_2_with_one_line_at_most(data, graph, depth):
             ["neighborhoods", str(graph_file), f"--depth={0 if depth is None else depth}"],
             ["verify", str(graph_file), str(trees), *flag],
         ):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1, 2), (argv, err.getvalue())
-            assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
-            assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), argv
+            code = exit_code(argv)
             if argv[:2] == ["check", str(trees)] and code in (0, 1):
                 collection = unicover.read_collection(_read_lines(str(trees)))
                 if len(collection) <= 5:
                     h = depth if depth is not None else max(1, max(map(tree_depth, collection), default=0))
                     assert (code == 0) == (exists_realization_bruteforce(collection, h) is not None), argv
+
+
+ARM = "(" * 3000 + ")" * 3000  # a path of 3,000 nodes, three times Python's default recursion limit
+
+
+@pytest.mark.parametrize(
+    "word, count, graph_text, want",
+    [
+        # One arm at each root: no graph has these balls.
+        pytest.param("(" + ARM + ")", 2, "n=2\n0 1\n", {None: 1, 1: 2, 3000: 1, 5000: 1}, id="one-arm"),
+        # Two arms: the triangle's balls at depth 3,000, which end too soon for depth 5,000.
+        pytest.param(
+            "(" + ARM + ARM + ")", 3, "n=3\n0 1\n0 2\n1 2\n", {None: 0, 1: 2, 3000: 0, 5000: 1}, id="two-arms"
+        ),
+    ],
+)
+@pytest.mark.parametrize("depth", [None, 1, 3000, 5000])
+def test_words_past_the_recursion_limit(tmp_path, word, count, graph_text, want, depth):
+    trees, graph = tmp_path / "t.txt", tmp_path / "g.txt"
+    trees.write_text((word + "\n") * count)
+    graph.write_text(graph_text)
+    flag = [] if depth is None else [f"--depth={depth}"]
+    codes = [
+        exit_code([*argv, *flag])
+        for argv in (
+            ["check", str(trees)],
+            ["check", "--explain", str(trees)],
+            ["realize", str(trees)],
+            ["realize", "--verify", str(trees)],
+            ["verify", str(graph), str(trees)],
+        )
+    ]
+    assert codes == [want[depth]] * 5
+
+
+@pytest.mark.parametrize(
+    "graph_text, commands",
+    [
+        # Accepted, and verify then finds one tree too few; neighborhoods would write 10^6 balls.
+        pytest.param(f"n={MAX_VERTICES}\n", ["verify"], id="at-limit"),
+        pytest.param(f"n={MAX_VERTICES}\n0 {MAX_VERTICES}\n", ["neighborhoods", "verify"], id="edge-past-limit"),
+        pytest.param(f"n={MAX_VERTICES + 1}\n", ["neighborhoods", "verify"], id="past-limit"),
+        pytest.param("n=" + "9" * 30 + "\n", ["neighborhoods", "verify"], id="30-digits"),
+    ],
+)
+def test_counts_at_and_past_the_vertex_limit(tmp_path, graph_text, commands):
+    trees, graph = tmp_path / "t.txt", tmp_path / "g.txt"
+    trees.write_text("()\n")
+    graph.write_text(graph_text)
+    argv = {"neighborhoods": ["neighborhoods", str(graph), "--depth=1"], "verify": ["verify", str(graph), str(trees)]}
+    assert [exit_code(argv[c]) for c in commands] == [2] * len(commands)

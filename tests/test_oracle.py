@@ -16,8 +16,9 @@ from unicover import (
     parse_tree,
 )
 from unicover.oracle import _drop_deepest_leaf
-from unicover.trees import Forest, count_nodes, depth
+from unicover.trees import Forest, depth
 from unicover.unfold import ball_ids
+import reference
 from treegen import random_tree, shuffle_tree
 
 
@@ -96,9 +97,9 @@ def test_drop_leaf_removes_exactly_one_node():
         if not tree.children:
             continue
         mutant = mutate_collection([tree], rng)[0]
-        if count_nodes(mutant) != count_nodes(tree):
+        if reference.count_nodes(mutant) != reference.count_nodes(tree):
             seen_drop += 1
-            assert count_nodes(mutant) == count_nodes(tree) - 1
+            assert reference.count_nodes(mutant) == reference.count_nodes(tree) - 1
     assert seen_drop > 0
 
 
@@ -108,7 +109,7 @@ def test_drop_leaf_on_a_deep_ball_does_not_recurse():
     forest = Forest()
     ball = ball_ids(forest, triangle, 1200)[0]
     mutant = _drop_deepest_leaf(forest, ball, random.Random(0))
-    assert count_nodes(forest.tree(mutant)) == count_nodes(forest.tree(ball)) - 1 == 2400
+    assert reference.count_nodes(forest.tree(mutant)) == reference.count_nodes(forest.tree(ball)) - 1 == 2400
     assert forest.codes[mutant] == "(" + "(" * 1199 + ")" * 1199 + "(" * 1200 + ")" * 1200 + ")"
 
 

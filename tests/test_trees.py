@@ -20,7 +20,7 @@ from unicover import (
     truncate,
     write_collection,
 )
-from unicover.trees import Forest, code_sort_key, count_nodes, depth, iter_collection
+from unicover.trees import Forest, code_sort_key, depth, iter_collection
 import reference
 from treegen import random_tree, shuffle_tree
 
@@ -157,8 +157,8 @@ def test_truncate_depth_law(t, k):
 @given(trees_st, st.integers(min_value=0, max_value=6))
 def test_truncate_node_count_law(t, k):
     cut = truncate(t, k)
-    assert count_nodes(cut) <= count_nodes(t)
-    assert (count_nodes(cut) == count_nodes(t)) == (depth(t) <= k)
+    assert reference.count_nodes(cut) <= reference.count_nodes(t)
+    assert (reference.count_nodes(cut) == reference.count_nodes(t)) == (depth(t) <= k)
 
 
 def _stored_code(tree: RootedTree) -> str:
