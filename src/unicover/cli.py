@@ -5,12 +5,13 @@ graphical / mismatch / failed selftest), 2 input error or failed write, 3
 internal error that should be reported as a bug.  Results go to stdout or
 `-o FILE` through `_write`, diagnostics to stderr.  A command parses its
 tree collection once, into one Forest, and works on the root ids from then on.
-`verify --depth H` (H >= 1) reads both files, unfolds the balls into that
-Forest, and only then loads the trees: a line that spells a ball's
-canonical code is matched by that code, and only the other lines are parsed.
-It unfolds no deeper than the longest line can spell: a line of L
-characters holds no tree of depth L // 2, so a ball still growing at that
-radius matches no line, and one that has stopped is the same at radius H.
+`verify` counts the tree lines before it unfolds anything.  With `--depth H`
+(H >= 1) it then unfolds the balls into that Forest and loads the trees: a
+line that spells a ball's canonical code is matched by that code, and only
+the other lines are parsed.  It unfolds no deeper than the longest tree line
+can spell: a line of L characters holds no tree of depth L // 2, so a ball
+still growing at that radius matches no line, and one that has stopped is
+the same at radius H.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
 from .graphs import read_graph, to_dot, write_graph
 from .realize import realize_table
 from .sequences import Verdict, check_neighborhood
-from .trees import Forest, iter_collection
+from .trees import Forest, content_lines, iter_collection
 from .unfold import ball_ids, first_difference
 
 # Not called here; perfbench/tracer.py wraps these names in this module.
@@ -43,25 +44,22 @@ from .trees import canonical_code as serialize  # noqa: F401
 from .unfold import first_mismatch, neighborhood_collection  # noqa: F401
 
 
-def _split_lines(text: str) -> list[str]:
-    """Lines broken at LF, CRLF and CR only, as in a text-mode file (not at form feeds, U+2028, ...)."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return lines[:-1] if lines[-1] == "" else lines
-
-
 def _read_lines(path: str) -> list[str]:
-    """Lines of the UTF-8 text in file `path`, or on stdin for '-'."""
+    """Lines of the UTF-8 text in file `path`, or on stdin for '-'.
+
+    Lines break at LF, CRLF and CR only, as in a text-mode file (not at form feeds, U+2028, ...).
+    """
     name = "stdin" if path == "-" else path
     try:
         if path != "-":
             with open(path, "rb") as handle:
-                data = handle.read()
+                text = handle.read().decode("utf-8")
         elif hasattr(sys.stdin, "buffer"):
             # The bytes, so undecodable input fails here whatever stdin's error handler.
-            data = sys.stdin.buffer.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:  # a text-only stream such as io.StringIO
-            return _split_lines(sys.stdin.read())
-        return _split_lines(data.decode("utf-8"))
+            text = sys.stdin.read()
+        return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     except OSError as exc:
         raise UnicoverError(f"cannot read {name}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -174,14 +172,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UnicoverError("the graph and the trees cannot both be read from stdin ('-')")
     graph = read_graph(_read_lines(args.graph))
     lines = _read_lines(args.trees)
+    sizes = [len(line) for _, line in content_lines(lines)]
     forest = Forest()
+    if len(sizes) != graph.n:
+        _roots(lines, args.depth, forest)  # a bad line or depth is reported before the count
+        raise UnicoverError(f"{len(sizes)} trees for a graph on {graph.n} vertices")
     balls = known = None
     if args.depth is not None and args.depth >= 1:
-        balls = ball_ids(forest, graph, min(args.depth, max(map(len, lines), default=0) // 2))
+        balls = ball_ids(forest, graph, min(args.depth, max(sizes, default=0) // 2))
         known = {forest.codes[t]: t for t in balls}
     roots, depth = _roots(lines, args.depth, forest, known)
-    if len(roots) != graph.n:
-        raise UnicoverError(f"{len(roots)} trees for a graph on {graph.n} vertices")
     if balls is None:  # the radius was the deepest tree's depth
         balls = ball_ids(forest, graph, depth)
     bad = first_difference(balls, roots)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import IO, Iterable
 
 from .errors import GraphFormatError
-from .trees import FrozenSlots
+from .trees import FrozenSlots, content_lines
 
 # Largest `n=` header that read_graph accepts; the graph allocates per vertex.
 MAX_VERTICES = 10**6
@@ -39,12 +39,11 @@ def _add_edge(seen: set[tuple[int, int]], n: int, u: int, v: int, directed: bool
 class SimpleGraph(FrozenSlots):
     """Undirected graph without loops or parallel edges.
 
-    Immutable (see :class:`~unicover.trees.FrozenSlots`).  `edges` holds
-    each edge once as (u, v) with u < v, sorted; `adj[v]` lists v's
-    neighbours in ascending order.
+    Immutable (see :class:`~unicover.trees.FrozenSlots`).  `adj[v]` lists
+    v's neighbours in ascending order, and is the graph's one store.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -56,24 +55,29 @@ class SimpleGraph(FrozenSlots):
 
     @classmethod
     def _from_checked(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        """Graph on `edges` already known to be distinct (u, v) pairs with 0 <= u < v < n."""
+        """Graph on `edges` already known to name each edge once, as a pair of distinct vertices in 0..n-1."""
         graph = cls.__new__(cls)
         graph._index(n, edges)
         return graph
 
     def _index(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
-        ordered = tuple(sorted(edges))
         neigh: list[list[int]] = [[] for _ in range(n)]
-        # Sorted u < v edges reach each vertex's neighbours in ascending order.
-        for u, v in ordered:
+        for u, v in edges:
             neigh[u].append(v)
             neigh[v].append(u)
+        for v, ws in enumerate(neigh):  # sorted in place, and freed as its tuple is made
+            ws.sort()
+            neigh[v] = tuple(ws)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", ordered)
-        object.__setattr__(self, "adj", tuple(map(tuple, neigh)))
+        object.__setattr__(self, "adj", tuple(neigh))
 
     def __reduce__(self):
         return (SimpleGraph._from_checked, (self.n, self.edges))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Each edge once as (u, v) with u < v, sorted; built from `adj` in O(m) on each access."""
+        return tuple([(u, v) for u, ws in enumerate(self.adj) for v in ws if u < v])
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -84,10 +88,10 @@ class SimpleGraph(FrozenSlots):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, edges={list(self.edges)})"
@@ -149,10 +153,7 @@ def read_graph(lines: Iterable[str]) -> SimpleGraph:
     """
     n: int | None = None
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(lines):
         if n is None:
             if not line.startswith("n="):
                 raise GraphFormatError(f"line {lineno}: expected 'n=<count>' header")
@@ -186,16 +187,12 @@ def read_graph(lines: Iterable[str]) -> SimpleGraph:
 def write_graph(graph: SimpleGraph, out: IO[str]) -> None:
     """Write the edge-list format: header then 'u v' lines, u < v, sorted."""
     out.write(f"n={graph.n}\n")
-    for u, v in graph.edges:
-        out.write(f"{u} {v}\n")
+    out.writelines(f"{u} {v}\n" for u, ws in enumerate(graph.adj) for v in ws if u < v)
 
 
 def to_dot(graph: SimpleGraph) -> str:
     """Plain undirected DOT; every vertex declared so isolated ones survive."""
-    lines = ["graph G {"]
-    for v in range(graph.n):
-        lines.append(f"  {v};")
-    for u, v in graph.edges:
-        lines.append(f"  {u} -- {v};")
+    lines = ["graph G {", *[f"  {v};" for v in range(graph.n)]]
+    lines += [f"  {u} -- {v};" for u, ws in enumerate(graph.adj) for v in ws if u < v]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -35,6 +35,7 @@ __all__ = [
     "canonical_code",
     "depth",
     "truncate",
+    "content_lines",
     "iter_collection",
     "read_collection",
     "write_collection",
@@ -358,21 +359,23 @@ def truncate(tree: RootedTree, k: int) -> RootedTree:
     return forest.tree(forest.truncate(tid, k))
 
 
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped text) of each line that is neither blank nor a '#' comment."""
+    return ((i, line) for i, line in enumerate(map(str.strip, lines), start=1) if line and not line.startswith("#"))
+
+
 def iter_collection(
     lines: Iterable[str], *, forest: Forest, known: Mapping[str, int] | None = None
 ) -> Iterator[tuple[int, int]]:
     """Yield (line number, id in `forest`) for each tree line of a collection file.
 
-    Blank lines and lines starting with '#' are skipped.  Line numbers are
-    1-based and refer to the raw input.  Each distinct line is parsed once
-    per call.  `known` maps canonical codes to their ids in `forest`; a line
-    that spells one of them is looked up, not parsed.
+    Only :func:`content_lines` are read, numbered as in the raw input.
+    Each distinct line is parsed once per call.  `known` maps canonical
+    codes to their ids in `forest`; a line that spells one of them is
+    looked up, not parsed.
     """
     seen: dict[str, int] = dict(known or {})
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(lines):
         tid = seen.get(line)
         if tid is None:
             try:

@@ -83,7 +83,7 @@ def cover_ball(graph: SimpleGraph, vertex: int, radius: int) -> RootedTree:
                     reached.append(w)
         frontier = reached
     edges = [(label[v], label[w]) for v in label for w in adj[v] if v < w and w in label]
-    ball = SimpleGraph._from_checked(len(label), [(a, b) if a < b else (b, a) for a, b in edges])
+    ball = SimpleGraph._from_checked(len(label), edges)
     forest = Forest()
     return forest.tree(ball_ids(forest, ball, radius)[0])
 

@@ -7,15 +7,17 @@ character dropped, doubled or swapped, a graph file with a bad header, a
 repeated edge or an out-of-range end, or raw bytes in place of either file.
 Depths above 6 are left to the memory-capped test in test_verify.py.
 Where `check` reaches a verdict on at most 5 trees, brute force over every
-graph on that many vertices must agree with it.  Two fixed inputs join them:
-tree words deeper than the recursion limit, and `n=` headers at and past
-`MAX_VERTICES`.
+graph on that many vertices must agree with it.  Three fixed inputs join
+them: tree words deeper than the recursion limit, a long comment line or
+padded lines, which must not count as tree text, and `n=` headers at and
+past `MAX_VERTICES`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import random
 import tempfile
 from pathlib import Path
 
@@ -24,6 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unicover
+from treegen import random_graph
+from unicover import cli
 from unicover.cli import _read_lines, main
 from unicover.graphs import MAX_VERTICES
 from unicover.oracle import exists_realization_bruteforce
@@ -112,6 +116,21 @@ def test_every_command_exits_0_1_or_2_with_one_line_at_most(data, graph, depth):
                     assert (code == 0) == (exists_realization_bruteforce(collection, h) is not None), argv
 
 
+def tree_command_codes(trees: Path, graph: Path, depth: int | None) -> list[int]:
+    """Exit codes of `check`, `check --explain`, `realize`, `realize --verify` and `verify` on these files."""
+    flag = [] if depth is None else [f"--depth={depth}"]
+    return [
+        exit_code([*argv, *flag])
+        for argv in (
+            ["check", str(trees)],
+            ["check", "--explain", str(trees)],
+            ["realize", str(trees)],
+            ["realize", "--verify", str(trees)],
+            ["verify", str(graph), str(trees)],
+        )
+    ]
+
+
 ARM = "(" * 3000 + ")" * 3000  # a path of 3,000 nodes, three times Python's default recursion limit
 
 
@@ -131,18 +150,35 @@ def test_words_past_the_recursion_limit(tmp_path, word, count, graph_text, want,
     trees, graph = tmp_path / "t.txt", tmp_path / "g.txt"
     trees.write_text((word + "\n") * count)
     graph.write_text(graph_text)
-    flag = [] if depth is None else [f"--depth={depth}"]
-    codes = [
-        exit_code([*argv, *flag])
-        for argv in (
-            ["check", str(trees)],
-            ["check", "--explain", str(trees)],
-            ["realize", str(trees)],
-            ["realize", "--verify", str(trees)],
-            ["verify", str(graph), str(trees)],
-        )
-    ]
-    assert codes == [want[depth]] * 5
+    assert tree_command_codes(trees, graph, depth) == [want[depth]] * 5
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda words: ["#" * 2000, *words],
+        lambda words: [" " * 1000 + w + "\t" * 1000 for w in words],
+    ],
+    ids=["2000-character-comment", "padded-lines"],
+)
+@pytest.mark.parametrize("depth, want", [(None, 0), (3, 1), (1000, 1)])
+def test_comments_and_padding_are_not_tree_text(tmp_path, monkeypatch, edit, depth, want):
+    # The depth-2 balls of a graph whose balls grow exponentially with the radius.
+    graph = random_graph(random.Random(5), 9, 0.35)
+    words = [unicover.canonical_code(b) for b in unicover.neighborhood_collection(graph, 2)]
+    trees, graph_file = tmp_path / "t.txt", tmp_path / "g.txt"
+    trees.write_text("".join(line + "\n" for line in edit(words)))
+    with graph_file.open("w") as out:
+        unicover.write_graph(graph, out)
+    ball_ids, longest = cli.ball_ids, max(map(len, words))
+
+    def bounded(forest, g, radius):
+        # A radius past what the words can spell would exhaust memory here, so it exits 3 at once instead.
+        assert radius <= longest // 2, f"unfolding to radius {radius}"
+        return ball_ids(forest, g, radius)
+
+    monkeypatch.setattr(cli, "ball_ids", bounded)
+    assert tree_command_codes(trees, graph_file, depth) == [want] * 5
 
 
 @pytest.mark.parametrize(

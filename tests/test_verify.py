@@ -2,7 +2,9 @@
 
 With `--depth H` the balls are unfolded before the trees are loaded, and a
 line that spells a ball's canonical code is looked up rather than parsed.
-They are unfolded no deeper than the longest line can spell.
+They are unfolded no deeper than the longest tree line can spell, and
+only after the tree lines are counted; comment lines and the whitespace
+around a tree count toward neither.
 `reference.verify_by_parsing` parses every line first and unfolds at H;
 both must give the same exit code, stdout and stderr on every input.
 """
@@ -165,15 +167,17 @@ def test_unfolding_stops_once_the_balls_stop_growing(n, tmp_path, capsys, monkey
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def test_a_huge_depth_on_a_branching_graph_still_reports_the_bad_line(tmp_path):
-    # Balls of this graph grow exponentially with the radius, so unfolding it
-    # at --depth 1000 would exhaust any memory; the lines are at most 2 levels deep.
-    pytest.importorskip("resource")
+def branching_balls(tmp_path) -> tuple[str, list[str]]:
+    """The graph file of a graph whose balls grow exponentially with the radius, and its depth-2 balls."""
     graph = random_graph(random.Random(5), 9, 0.35)
     codes = [unicover.canonical_code(b) for b in unicover.neighborhood_collection(graph, 2)]
-    g = write(tmp_path / "g.txt", graph_text(graph))
-    t = write(tmp_path / "t.txt", "".join(c + "\n" for c in codes[:-1]) + "(()\n")
-    cap = 800 * 2**20  # set by the child on itself
+    return write(tmp_path / "g.txt", graph_text(graph)), codes
+
+
+def capped_verify(*argv: str) -> tuple[int, str, str]:
+    """`unicover verify *argv` in a child that caps its own address space at 800 MB."""
+    pytest.importorskip("resource")
+    cap = 800 * 2**20
     entry = (
         "import resource, sys\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
@@ -183,9 +187,44 @@ def test_a_huge_depth_on_a_branching_graph_still_reports_the_bad_line(tmp_path):
     path = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-c", entry, "verify", g, t, "--depth", "1000"],
+        [sys.executable, "-c", entry, "verify", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", "error: line 9: unbalanced '(': tree text ends too early\n"
-    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_huge_depth_on_a_branching_graph_still_reports_the_bad_line(tmp_path):
+    # Unfolding this graph at --depth 1000 would exhaust any memory; the lines are at most 2 levels deep.
+    g, codes = branching_balls(tmp_path)
+    t = write(tmp_path / "t.txt", "".join(c + "\n" for c in codes[:-1]) + "(()\n")
+    want = "error: line 9: unbalanced '(': tree text ends too early\n"
+    assert capped_verify(g, t, "--depth", "1000") == (2, "", want)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda lines: ["#" * 200, *lines], lambda lines: [" " * 200 + lines[0], *lines[1:]]],
+    ids=["200-character-comment", "200-leading-spaces"],
+)
+def test_comments_and_padding_do_not_deepen_the_unfold(tmp_path, edit):
+    # Only tree text counts toward the longest line L: at L // 2 = 100 these balls would exhaust the cap.
+    g, codes = branching_balls(tmp_path)
+    t = write(tmp_path / "t.txt", "".join(line + "\n" for line in edit(codes)))
+    assert capped_verify(g, t, "--depth", "1000") == (1, "", "mismatch at vertex 0\n")
+
+
+def test_the_tree_count_is_checked_before_unfolding(tmp_path, capsys, monkeypatch):
+    graph = random_graph(random.Random(6), 12, 0.3)
+    codes = [unicover.canonical_code(b) for b in unicover.neighborhood_collection(graph, 3)]
+    g = write(tmp_path / "g.txt", graph_text(graph))
+    calls = []
+    ball_ids = cli.ball_ids
+    monkeypatch.setattr(cli, "ball_ids", lambda *args: calls.append(1) or ball_ids(*args))
+    t = write(tmp_path / "t.txt", "".join(c + "\n" for c in codes[:-1]))
+    assert run(capsys, "verify", g, t, "--depth", "3") == (2, "", "error: 11 trees for a graph on 12 vertices\n")
+    assert calls == []
+    # A malformed line is still reported first, by its number.
+    t = write(tmp_path / "t.txt", "".join(c + "\n" for c in codes[:-2]) + "(()\n")
+    want = "error: line 11: unbalanced '(': tree text ends too early\n"
+    assert run(capsys, "verify", g, t, "--depth", "3") == (2, "", want)
+    assert calls == []
