@@ -127,3 +127,32 @@ def cubic_minus(rng: random.Random, n: int, deleted: int) -> list[tuple[int, int
     for i in sorted(rng.sample(range(len(edges)), deleted), reverse=True):
         del edges[i]
     return edges
+
+
+def swapped_balls(rng: random.Random, n: int) -> list[RootedTree] | None:
+    """The depth-2 balls of a G(n, m) graph, two roots of equal degree having swapped one child.
+
+    m is drawn from n..2n.  Every inverse pair stays balanced and every
+    diagonal sum stays even, so a collection that fails the check fails only
+    a subsum inequality.  None when no two roots of equal degree have
+    children that differ.
+    """
+    from unicover import canonical_code, neighborhood_collection
+
+    balls = neighborhood_collection(SimpleGraph(n, gnm(rng, n, rng.randrange(n, 2 * n + 1))), 2)
+    kids = [[canonical_code(c) for c in ball.children] for ball in balls]
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if len(kids[i]) == len(kids[j]) and len(set(kids[i] + kids[j])) > 1
+    ]
+    if not pairs:
+        return None
+    i, j = rng.choice(pairs)
+    x = rng.choice([x for x, code in enumerate(kids[i]) if set(kids[j]) - {code}])
+    y = rng.choice([y for y, code in enumerate(kids[j]) if code != kids[i][x]])
+    a, b = list(balls[i].children), list(balls[j].children)
+    a[x], b[y] = b[y], a[x]
+    balls[i], balls[j] = RootedTree(tuple(a)), RootedTree(tuple(b))
+    return balls
