@@ -19,10 +19,10 @@ _HOMES = {
     "errors": "DepthError GraphFormatError InternalInfeasible InternalInvariantError NotGraphical"
     " ParseError SimplicityViolation SizeError UnicoverError",
     "graphs": "Digraph SimpleGraph read_graph to_dot write_graph",
-    "oracle": "Disagreement OracleReport cross_validate enumerate_digraphs enumerate_graphs"
+    "oracle": "Disagreement OracleReport cross_validate enumerate_graphs"
     " exists_realization_bruteforce mutate_collection",
     "realize": "glue havel_hakimi kleitman_wang realize_neighborhood",
-    "sequences": "FailureKind FailureRecord Verdict check_neighborhood erdos_gallai fulkerson_chen_anstee",
+    "sequences": "FailureKind FailureRecord Verdict check_neighborhood erdos_gallai",
     "trees": "RootedTree canonical_code parse_tree read_collection truncate write_collection",
     "unfold": "cover_ball first_mismatch neighborhood_collection verify_realization",
 }

@@ -1,8 +1,8 @@
 """Brute-force ground truth for small instances.
 
-Everything here is deliberately dumb: enumerate every labeled graph (or
-loopless digraph) below a hard size cap, harvest cover-ball collections, and
-compare the checker and realizer against exhaustive search.  Negative cases
+Everything here is deliberately dumb: enumerate every labeled graph below
+a hard size cap, harvest cover-ball collections, and compare the checker
+and realizer against exhaustive search.  Negative cases
 come from mutating realizable collections rather than sampling random
 tuples, because random tuples are almost always rejected for trivial parity
 or balance reasons and never probe the deeper inequalities.
@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .edge_types import table_from_ids
 from .errors import SizeError, UnicoverError
-from .graphs import Digraph, SimpleGraph
+from .graphs import SimpleGraph
 from .realize import realize_table
 from .sequences import check_neighborhood
 from .trees import Forest, RootedTree
@@ -29,11 +29,9 @@ from .unfold import ball_ids, first_difference
 
 __all__ = [
     "MAX_GRAPH_VERTICES",
-    "MAX_DIGRAPH_VERTICES",
     "Disagreement",
     "OracleReport",
     "enumerate_graphs",
-    "enumerate_digraphs",
     "exists_realization_bruteforce",
     "mutate_collection",
     "cross_validate",
@@ -41,8 +39,6 @@ __all__ = [
 
 # 2^(n(n-1)/2) labeled graphs; about 2.1 million at the cap.
 MAX_GRAPH_VERTICES = 7
-# 2^(n(n-1)) loopless digraphs; 4096 at the cap.
-MAX_DIGRAPH_VERTICES = 4
 
 
 def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
@@ -52,15 +48,6 @@ def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     slots = list(combinations(range(n), 2))
     for mask in range(1 << len(slots)):
         yield SimpleGraph(n, (e for i, e in enumerate(slots) if mask >> i & 1))
-
-
-def enumerate_digraphs(n: int) -> Iterator[Digraph]:
-    """Every labeled loopless digraph on n vertices, exactly once."""
-    if not 0 <= n <= MAX_DIGRAPH_VERTICES:
-        raise SizeError(f"digraph enumeration supports 0 <= n <= {MAX_DIGRAPH_VERTICES}, got {n}")
-    slots = [(u, v) for u in range(n) for v in range(n) if u != v]
-    for mask in range(1 << len(slots)):
-        yield Digraph(n, (a for i, a in enumerate(slots) if mask >> i & 1))
 
 
 def exists_realization_bruteforce(trees: Sequence[RootedTree], depth: int) -> SimpleGraph | None:

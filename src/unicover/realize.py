@@ -2,7 +2,7 @@
 
 Each entry of the table's plan becomes one part: a diagonal type a simple
 graph with the prescribed degree vector, an inverse pair of non-diagonal
-types a loopless digraph with the prescribed (out, in) vectors.  The union
+types a bipartite digraph with the prescribed (out, in) vectors.  The union
 of the edge sets is the realization.  It is provably simple for every table
 built from trees, so a collision while placing the parts is treated as an
 internal bug, never as bad input.  Were uv placed as types (a, b) and (c, d)
@@ -10,7 +10,7 @@ at u, thus (b, a) and (d, c) at v, with a = u's tree less child b cut to
 depth h - 1 and so on, then b, d agreeing to depth k makes a, c agree to
 depth k + 1 and back, so the types are one.  At a single root the same
 induction leaves no vertex on both sides of an inverse pair, or in two
-diagonal types.
+diagonal types, so each pair is a bipartite degree problem.
 
 Both realizers are deterministic greedies; identical inputs produce
 identical edge lists byte for byte.  :func:`realize_table` takes one pass
@@ -97,69 +97,44 @@ def havel_hakimi(degrees: Sequence[int]) -> SimpleGraph:
 
 
 def _kw_arcs(res_out: list[int], res_in: list[int]) -> list[tuple[int, int]]:
-    """Kleitman–Wang's arcs for the residual (out, in) degrees, which it uses up."""
-    sources = [(-a, -b, i) for i, (a, b) in enumerate(zip(res_out, res_in)) if a > 0]
-    heads = [(-b, -a, i) for i, (a, b) in enumerate(zip(res_out, res_in)) if b > 0]
-    heapify(sources)
+    """Kleitman–Wang's arcs for bipartite (out, in) degrees; it uses up `res_in`."""
+    heads = [(-b, i) for i, b in enumerate(res_in) if b > 0]
     heapify(heads)
-
-    def pop_head() -> int | None:
-        while heads:
-            b, a, i = heappop(heads)
-            if -b == res_in[i] and -a == res_out[i]:
-                return i
-        return None
-
     arcs: list[tuple[int, int]] = []
-    while sources:
-        a, b, v = heappop(sources)
-        if -a != res_out[v] or -b != res_in[v]:
-            continue
+    for v in sorted((i for i, a in enumerate(res_out) if a > 0), key=lambda i: (-res_out[i], i)):
         need = res_out[v]
-        res_out[v] = 0
-        # v's head entry is now stale, so v cannot be its own target; its
-        # fresh entry goes back once the targets are chosen.
-        targets: list[int] = []
-        while len(targets) < need:
-            t = pop_head()
-            if t is None:
-                raise InternalInfeasible(
-                    f"cannot place {need} arcs at a vertex with only {len(targets)} candidates"
-                )
-            targets.append(t)
-        if res_in[v]:
-            heappush(heads, (-res_in[v], 0, v))
-        for t in targets:
+        if need > len(heads):
+            raise InternalInfeasible(f"cannot place {need} arcs at a vertex with only {len(heads)} candidates")
+        for _, t in [heappop(heads) for _ in range(need)]:
             res_in[t] -= 1
             arcs.append((v, t))
             if res_in[t]:
-                heappush(heads, (-res_in[t], -res_out[t], t))
-            if res_out[t]:
-                heappush(sources, (-res_out[t], -res_in[t], t))
-    if any(res_in):
+                heappush(heads, (-res_in[t], t))
+    if heads:
         raise InternalInfeasible("in-stubs left over after all out-stubs were placed")
     return arcs
 
 
 def kleitman_wang(pairs: Sequence[tuple[int, int]]) -> Digraph:
-    """Loopless digraph with exactly the given (out, in) degree pairs.
+    """Bipartite digraph with exactly the given (out, in) degree pairs.
 
-    Greedy: repeatedly pick the vertex with the lexicographically largest
-    residual (out, in) pair (lowest index on ties) and send all its remaining
-    out-stubs to distinct other vertices, preferring larger residual
-    in-degree, then larger residual out-degree, then lower index.  The input
-    must be digraphical; a stuck state raises InternalInfeasible.  Two heaps
-    keyed by exactly these orders hold the vertices with a positive residual
-    out-degree (sources) and in-degree (heads); an entry whose key is no
-    longer the vertex's current one is dropped when it surfaces.  s such
-    vertices and m arcs cost O((s + m) log s).
+    Kleitman–Wang's greedy, for pairs with no vertex on both sides (else
+    InternalInvariantError), as in every inverse pair of a table built from
+    trees: each source, largest out-degree first, sends its arcs to the heads
+    of largest residual in-degree, ties going to the lowest index.  Sources
+    never receive arcs and heads never send any, so one static order and one
+    heap serve, at O((s + m) log s) for s vertices and m arcs.  A negative
+    degree raises ValueError, and counts that are not realizable
+    InternalInfeasible.
     """
     res_out = [int(a) for a, _ in pairs]
     res_in = [int(b) for _, b in pairs]
     if any(d < 0 for d in res_out + res_in):
         raise ValueError("degree pairs must be non-negative")
+    if any(a and b for a, b in zip(res_out, res_in)):
+        raise InternalInvariantError("a vertex is on both sides")
+    want = tuple(zip(res_out, res_in))
     digraph = Digraph(len(res_out), _kw_arcs(res_out, res_in))
-    want = tuple((int(a), int(b)) for a, b in pairs)
     if digraph.bidegree_sequence() != want:
         raise InternalInfeasible("constructed digraph does not match the requested degrees")
     return digraph

@@ -1,16 +1,15 @@
 """Graphicality of degree sequences and the per-type verdict.
 
-Two classical tests are implemented: the subsum test for plain degree
-sequences of simple graphs, and its directed analogue for (out, in) pair
-sequences of loopless digraphs (a pair (u, v) and its reverse may coexist,
-but no loops and no repeated arcs).  On top of them,
-:func:`check_neighborhood` decides a whole typed degree table: every
-diagonal type must have a graphical count vector and every inverse pair of
-non-diagonal types must have a digraphical (out, in) vector pair.
+The subsum test (Erdős–Gallai) decides plain degree sequences of simple
+graphs, and Gale–Ryser's test the (out, in) counts of an inverse pair,
+which in a table built from trees have no vertex on both sides (the
+argument is in :mod:`unicover.realize`).  :func:`check_neighborhood`
+applies them to every entry of a typed degree table.
 
-Both tests return the smallest violated index k.  A support of s vertices
-costs O(s log s) in either test (the sort), so a whole table costs about
-the sum of its supports times their logarithm.
+Both tests return the smallest violated index k.  Up to the number of
+sources, Gale–Ryser's k-th inequality is Fulkerson–Chen–Anstee's for
+loopless digraphs, and Gale–Ryser is sufficient, so k is the digraph
+test's.  A support of s vertices costs O(s log s) in either test (the sorts).
 """
 
 from __future__ import annotations
@@ -20,13 +19,13 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .edge_types import EdgeType, TypedDegreeTable
+from .errors import InternalInvariantError
 
 __all__ = [
     "FailureKind",
     "FailureRecord",
     "Verdict",
     "erdos_gallai",
-    "fulkerson_chen_anstee",
     "check_neighborhood",
 ]
 
@@ -99,60 +98,25 @@ def erdos_gallai(degrees: Sequence[int]) -> tuple[bool, int | None]:
     return k is None, k
 
 
-def _first_directed_violation(pairs: Sequence[tuple[int, int]]) -> int | None:
-    """Smallest k violating the loopless directed subsum inequality.
+def _first_bipartite_violation(counts: Sequence[tuple[int, int]]) -> int | None:
+    """Smallest k with sum of the k largest out-counts > sum of min(in, k) over the in-counts.
 
-    k is counted over the decreasing lexicographic (out, in) reordering of
-    `pairs`.  In-degrees in the first k positions count at most k - 1 each
-    (no loops), later ones at most k each.  The right side is rewritten as
-    sum(min(b, k)) over all entries minus the head entries with b >= k; both
-    terms follow k through count arrays over in-degree values, so the scan
-    after the O(s log s) sort is O(s).
+    Gale–Ryser's k-th inequality, for `counts` with no vertex on both sides.
+    The in-counts >= k are a prefix of the sorted in-counts whose end only
+    moves down, so the scan after the sorts is O(s).
     """
-    ordered = sorted(pairs, reverse=True)
-    s = len(ordered)
-    # In-degrees above s compare like s against every k <= s.
-    count = [0] * (s + 1)
-    for _, b in ordered:
-        count[min(b, s)] += 1
-    head = [0] * (s + 1)  # in-degree values among the first k entries
-    lhs = 0
-    at_least = s - count[0]  # entries with b >= k
-    capped_sum = 0  # sum of min(b, k) over all entries
-    head_at_least = 0  # first k entries with b >= k
-    for k in range(1, s + 1):
-        a, b = ordered[k - 1]
+    outs = sorted((a for a, _ in counts if a), reverse=True)
+    ins = sorted((b for _, b in counts if b), reverse=True)
+    lhs = capped = 0
+    p = len(ins)  # ins[:p] holds the in-counts >= k
+    for k, a in enumerate(outs, 1):
+        while p and ins[p - 1] < k:
+            p -= 1
         lhs += a
-        capped_sum += at_least
-        at_least -= count[k]
-        head_at_least -= head[k - 1]
-        b = min(b, s)
-        head[b] += 1
-        if b >= k:
-            head_at_least += 1
-        if lhs > capped_sum - head_at_least:
+        capped += p
+        if lhs > capped:
             return k
     return None
-
-
-def fulkerson_chen_anstee(pairs: Sequence[tuple[int, int]]) -> tuple[bool, int | None]:
-    """Decide whether the (out, in) pairs are realizable by a loopless digraph.
-
-    Returns (True, None) when they are; otherwise (False, k) with k the
-    smallest violated inequality index over the decreasing lexicographic
-    reordering, or k = 0 when the out and in totals differ or an entry
-    exceeds n - 1.
-    """
-    plist = [(a, b) for a, b in pairs]
-    n = len(plist)
-    if any(a < 0 or b < 0 for a, b in plist):
-        raise ValueError("degree pairs must be non-negative")
-    if sum(a for a, _ in plist) != sum(b for _, b in plist):
-        return False, 0
-    if n and max(max(a, b) for a, b in plist) > n - 1:
-        return False, 0
-    k = _first_directed_violation(plist)
-    return k is None, k
 
 
 def check_neighborhood(table: TypedDegreeTable) -> Verdict:
@@ -160,11 +124,13 @@ def check_neighborhood(table: TypedDegreeTable) -> Verdict:
 
     Each entry of the table's plan is tested in plan order: a diagonal
     type's counts must be graphical (an odd total is reported as its own
-    failure kind), and an inverse pair's (out, in) counts digraphical
-    (unequal totals likewise get their own kind).  Failures are collected
-    exhaustively, never short-circuited.  Each type is tested on its
-    support only: vertices with no edges of the type cannot change the
-    verdict or the witness.  A support of s vertices costs O(s log s).
+    failure kind), and an inverse pair's (out, in) counts the degrees of a
+    bipartite graph (unequal totals likewise get their own kind).  Failures
+    are collected exhaustively, never short-circuited.  Each type is tested
+    on its support only: vertices with no edges of the type cannot change
+    the verdict or the witness.  A support of s vertices costs O(s log s).
+    A pair entry with a vertex on both sides, which no table built from
+    trees has, raises InternalInvariantError.
     """
     failures: list[FailureRecord] = []
     for etype, (_, counts) in table.plan.items():
@@ -174,10 +140,12 @@ def check_neighborhood(table: TypedDegreeTable) -> Verdict:
                 continue
             kind, k = FailureKind.EG_VIOLATION, _first_subsum_violation(counts)
         else:
+            if any(a and b for a, b in counts):
+                raise InternalInvariantError(f"pair ({etype.near},{etype.far}) has a vertex on both sides")
             if sum(a for a, _ in counts) != sum(b for _, b in counts):
                 failures.append(FailureRecord(etype, FailureKind.UNBALANCED_PAIR))
                 continue
-            kind, k = FailureKind.DIRECTED_EG_VIOLATION, _first_directed_violation(counts)
+            kind, k = FailureKind.DIRECTED_EG_VIOLATION, _first_bipartite_violation(counts)
         if k is not None:
             failures.append(FailureRecord(etype, kind, k))
     return Verdict(graphical=not failures, failures=tuple(failures))

@@ -17,13 +17,20 @@ matching canonical lines by their code must not change an exit code or a
 byte of output.  The cover balls written out walk by walk: `ball_ids` must
 give every vertex the same canonical code as its explicit non-backtracking
 walks.  And a node counter that walks `RootedTree.children` with no Forest.
+
+The loopless-digraph forms that the bipartite check and realizer replaced
+are kept as oracles too: Fulkerson–Chen–Anstee's test, whose smallest
+violated k Gale–Ryser must reproduce on every bipartite vector,
+Kleitman–Wang's general greedy, whose arcs the one-heap greedy must
+reproduce, and the enumeration of every loopless digraph that certifies
+the test on small inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from unicover import (
     DepthError,
@@ -34,6 +41,7 @@ from unicover import (
     RootedTree,
     SimpleGraph,
     SimplicityViolation,
+    SizeError,
     TypeClass,
     TypedDegreeTable,
     UnicoverError,
@@ -137,6 +145,39 @@ def first_directed_violation(ordered: Sequence[tuple[int, int]]) -> int | None:
         if lhs > rhs:
             return k
     return None
+
+
+def fulkerson_chen_anstee(pairs: Sequence[tuple[int, int]]) -> tuple[bool, int | None]:
+    """Decide whether the (out, in) pairs are realizable by a loopless digraph.
+
+    Returns (True, None) when they are; otherwise (False, k) with k the
+    smallest violated inequality index over the decreasing lexicographic
+    reordering, or k = 0 when the out and in totals differ or an entry
+    exceeds n - 1.
+    """
+    plist = [(a, b) for a, b in pairs]
+    n = len(plist)
+    if any(a < 0 or b < 0 for a, b in plist):
+        raise ValueError("degree pairs must be non-negative")
+    if sum(a for a, _ in plist) != sum(b for _, b in plist):
+        return False, 0
+    if n and max(max(a, b) for a, b in plist) > n - 1:
+        return False, 0
+    k = first_directed_violation(sorted(plist, reverse=True))
+    return k is None, k
+
+
+# 2^(n(n-1)) loopless digraphs; 4096 at the cap.
+MAX_DIGRAPH_VERTICES = 4
+
+
+def enumerate_digraphs(n: int) -> Iterator[Digraph]:
+    """Every labeled loopless digraph on n vertices, exactly once."""
+    if not 0 <= n <= MAX_DIGRAPH_VERTICES:
+        raise SizeError(f"digraph enumeration supports 0 <= n <= {MAX_DIGRAPH_VERTICES}, got {n}")
+    slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for mask in range(1 << len(slots)):
+        yield Digraph(n, (a for i, a in enumerate(slots) if mask >> i & 1))
 
 
 def havel_hakimi_dense(degrees: Sequence[int]) -> SimpleGraph:

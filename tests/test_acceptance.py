@@ -10,18 +10,18 @@ import time
 from itertools import product
 
 from unicover import (
+    EdgeType,
     SimpleGraph,
     SimplicityViolation,
+    TypedDegreeTable,
     build_table,
     canonical_code,
     check_neighborhood,
     cover_ball,
     cross_validate,
-    enumerate_digraphs,
     enumerate_graphs,
     erdos_gallai,
     exists_realization_bruteforce,
-    fulkerson_chen_anstee,
     havel_hakimi,
     mutate_collection,
     neighborhood_collection,
@@ -89,23 +89,36 @@ def test_criterion_3_negative_direction_mutants():
     _report(3, f"{mutants} mutants agreed with brute force (+{spot_checks} literal scans) in {elapsed:.1f}s")
 
 
+def _pair_verdict(outs: tuple[int, ...], ins: tuple[int, ...]) -> bool:
+    """`check_neighborhood` on one inverse pair with these counts, sources and heads interleaved."""
+    counts = [(a, 0) for a in outs] + [(0, b) for b in ins]
+    counts = counts[::2] + counts[1::2]
+    plan = {EdgeType("()", "(())"): (tuple(range(len(counts))), tuple(counts))}
+    return check_neighborhood(TypedDegreeTable(len(counts), 1, plan)).graphical
+
+
 def test_criterion_4_directed_check_against_enumeration():
+    # An inverse pair's part is a bipartite graph from the vertices with
+    # out-counts to those with in-counts: certify the pair test against
+    # every such graph with up to 3 sources and 3 heads.
     start = time.monotonic()
-    cases = 0
-    for n in range(4):
-        reach = {tuple(sorted(d.bidegree_sequence())) for d in enumerate_digraphs(n)}
-        for flat in product(range(3), repeat=2 * n):
-            pairs = tuple(zip(flat[::2], flat[1::2]))
-            ok, _ = fulkerson_chen_anstee(pairs)
-            assert ok == (tuple(sorted(pairs)) in reach), pairs
-            cases += 1
-    harvested = 0
-    for digraph in enumerate_digraphs(4):
-        ok, _ = fulkerson_chen_anstee(digraph.bidegree_sequence())
-        assert ok, digraph
-        harvested += 1
+    cases = harvested = 0
+    for s, t in product(range(4), repeat=2):
+        slots = list(product(range(s), range(t)))
+        reach = set()
+        for mask in range(1 << len(slots)):
+            edges = [e for i, e in enumerate(slots) if mask >> i & 1]
+            outs = tuple(sum(1 for u, _ in edges if u == i) for i in range(s))
+            ins = tuple(sum(1 for _, v in edges if v == j) for j in range(t))
+            reach.add((tuple(sorted(outs)), tuple(sorted(ins))))
+            assert _pair_verdict(tuple(a for a in outs if a), tuple(b for b in ins if b)), edges
+            harvested += 1
+        for outs in product(range(1, 4), repeat=s):
+            for ins in product(range(1, 4), repeat=t):
+                assert _pair_verdict(outs, ins) == ((tuple(sorted(outs)), tuple(sorted(ins))) in reach), (outs, ins)
+                cases += 1
     elapsed = time.monotonic() - start
-    _report(4, f"{cases} pair sequences + {harvested} harvested bi-degree sequences in {elapsed:.1f}s")
+    _report(4, f"{cases} pair count vectors + {harvested} harvested bipartite graphs in {elapsed:.1f}s")
 
 
 def test_criterion_5_round_trip_at_scale():

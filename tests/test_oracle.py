@@ -9,7 +9,6 @@ from unicover import (
     SizeError,
     canonical_code,
     cross_validate,
-    enumerate_digraphs,
     enumerate_graphs,
     exists_realization_bruteforce,
     mutate_collection,
@@ -19,6 +18,7 @@ from unicover.oracle import _drop_deepest_leaf
 from unicover.trees import Forest, depth
 from unicover.unfold import ball_ids
 import reference
+from reference import enumerate_digraphs
 from treegen import random_tree, shuffle_tree
 
 

@@ -21,7 +21,6 @@ from unicover import (
     check_neighborhood,
     enumerate_graphs,
     erdos_gallai,
-    fulkerson_chen_anstee,
     glue,
     havel_hakimi,
     kleitman_wang,
@@ -36,7 +35,7 @@ from unicover.realize import realize_table
 from unicover.oracle import mutate_collection
 from unicover.trees import Forest, iter_collection, truncate
 from unicover.unfold import ball_ids, first_difference
-from reference import havel_hakimi_dense, kleitman_wang_dense, realize_parts
+from reference import fulkerson_chen_anstee, havel_hakimi_dense, kleitman_wang_dense, realize_parts
 from treegen import hub_pairs, path_graph, random_graph, random_tree, star_and_head_degrees
 
 DIAG = EdgeType("()", "()")
@@ -74,14 +73,15 @@ def test_realizers_reject_negative_entries():
 def test_kleitman_wang_examples():
     assert kleitman_wang(((1, 0), (0, 1))).arcs == ((0, 1),)
     assert kleitman_wang(((0, 0), (0, 0))).arcs == ()
-    d = kleitman_wang(((2, 2), (2, 2), (2, 2)))
-    assert d.bidegree_sequence() == ((2, 2), (2, 2), (2, 2))
+    d = kleitman_wang(((0, 2), (2, 0), (0, 1), (1, 0), (0, 1), (1, 0)))
+    assert d.arcs == ((1, 0), (1, 2), (3, 0), (5, 4))
 
 
 def test_kleitman_wang_exact_on_every_digraphical_sequence_up_to_four():
+    # Every vector with entries below 4 and no vertex on both sides.
+    values = [(a, 0) for a in range(4)] + [(0, b) for b in range(1, 4)]
     for n in range(5):
-        for flat in product(range(4), repeat=2 * n):
-            pairs = tuple(zip(flat[::2], flat[1::2]))
+        for pairs in product(values, repeat=n):
             if fulkerson_chen_anstee(pairs)[0]:
                 assert kleitman_wang(pairs).bidegree_sequence() == pairs
 
@@ -256,10 +256,13 @@ def test_realize_isolated_vertices():
 
 
 def _random_bidegrees(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
+    """The (out, in) degrees of a random bipartite digraph from a random part of n vertices to the rest."""
+    sources = rng.sample(range(n), rng.randrange(n + 1))
+    heads = [v for v in range(n) if v not in sources]
     out, inn = [0] * n, [0] * n
-    for u in range(n):
-        for v in range(n):
-            if u != v and rng.random() < p:
+    for u in sources:
+        for v in heads:
+            if rng.random() < p:
                 out[u] += 1
                 inn[v] += 1
     return list(zip(out, inn))
@@ -270,7 +273,7 @@ def test_heap_realizers_match_the_dense_reference():
     # inputs (the most ties) the edge lists must be the same, zeros included.
     rng = random.Random(5)
     sequences = [[3] * 2000, [1] * 64, [0, 2, 0, 2, 2, 0]]
-    bisequences = [[(2, 2)] * 2000, [(1, 1)] * 64, [(0, 0), (1, 1), (0, 0), (1, 1)]]
+    bisequences = [[(2, 0)] * 1000 + [(0, 2)] * 1000, [(1, 0), (0, 1)] * 32, [(0, 0), (1, 0), (0, 0), (0, 1)]]
     for _ in range(40):
         n = rng.randrange(1, 120)
         sequences.append(list(random_graph(rng, n, rng.random()).degree_sequence()))
@@ -312,11 +315,11 @@ def test_realizers_agree_with_networkx_at_scale():
                     assert [theirs.degree(v) for v in range(n)] == positive + [0] * (n - len(positive))
                     assert nx.number_of_selfloops(theirs) == 0
                 outcomes.add(ours is not None)
-            d = nx.gnm_random_graph(n, 2 * n, seed=rng.randrange(10**6), directed=True)
-            pairs = [(d.out_degree(v), d.in_degree(v)) for v in range(n)]
+            b = nx.bipartite.gnmk_random_graph(n // 2, n - n // 2, 2 * n, seed=rng.randrange(10**6))
+            pairs = [(b.degree(v), 0) for v in range(n // 2)] + [(0, b.degree(v)) for v in range(n // 2, n)]
             moved = list(pairs)
-            v, w = rng.sample(range(n), 2)
-            moved[v], moved[w] = (moved[v][0], moved[v][1] + 1), (moved[w][0], max(0, moved[w][1] - 1))
+            v, w = rng.sample(range(n // 2, n), 2)
+            moved[v], moved[w] = (0, moved[v][1] + 1), (0, max(0, moved[w][1] - 1))
             for seq in (pairs, moved, hub_pairs(rng, n)):
                 ours = _realized_or_none(kleitman_wang, InternalInfeasible, seq)
                 theirs = _realized_or_none(
@@ -486,6 +489,14 @@ def _doctored_tables():
     yield _table(4, {DIAG: ((1, 1), (1, 1))})
     yield _table(3, {DIAG: ((0, 1), (1, 1)), DIAG2: ((0, 1), (1, 1))})
     yield _table(2, {SKEW: ((0, 1), ((1, 1), (1, 1)))})
+
+
+def test_a_vertex_on_both_sides_of_a_pair_is_refused_as_a_bug():
+    # No table built from trees has one (see test_parts_never_collide_on_tables_built_from_any_trees).
+    with pytest.raises(InternalInvariantError, match="a vertex on both sides"):
+        check_neighborhood(_table(2, {SKEW: ((0, 1), ((1, 1), (1, 1)))}))
+    with pytest.raises(InternalInvariantError, match="a vertex is on both sides"):
+        kleitman_wang(((1, 1), (1, 1)))
 
 
 def test_placer_refuses_a_loop_or_an_end_off_the_part():

@@ -10,19 +10,17 @@ from unicover import (
     FailureKind,
     build_table,
     check_neighborhood,
-    enumerate_digraphs,
     enumerate_graphs,
     erdos_gallai,
     exists_realization_bruteforce,
-    fulkerson_chen_anstee,
     neighborhood_collection,
     parse_tree,
     realize_neighborhood,
     verify_realization,
 )
-from reference import first_directed_violation, first_subsum_violation
-from treegen import cycle_graph, hub_pairs, random_graph, star_and_head_degrees
-from unicover.sequences import _first_directed_violation, _first_subsum_violation
+from reference import enumerate_digraphs, first_directed_violation, first_subsum_violation, fulkerson_chen_anstee
+from treegen import cycle_graph, hub_pairs, near_bipartite_pairs, random_graph, star_and_head_degrees
+from unicover.sequences import _first_bipartite_violation, _first_subsum_violation
 
 
 def graphical_by_enumeration(seq):
@@ -236,25 +234,6 @@ def _near_boundary_degrees(rng: random.Random, s: int) -> list[int]:
     return degrees
 
 
-def _near_boundary_pairs(rng: random.Random, s: int) -> list[tuple[int, int]]:
-    if rng.randrange(2):
-        hi = rng.randrange(1, s + 1)
-        return [(rng.randrange(hi + 1), rng.randrange(hi + 1)) for _ in range(s)]
-    out, inn = [0] * s, [0] * s
-    p = rng.random()
-    for u in range(s):
-        for v in range(s):
-            if u != v and rng.random() < p:
-                out[u] += 1
-                inn[v] += 1
-    for _ in range(rng.randrange(4)):
-        i, j = rng.randrange(s), rng.randrange(s)
-        if out[j]:
-            out[i] += 1
-            out[j] -= 1
-    return list(zip(out, inn))
-
-
 def test_subsum_scans_match_the_quadratic_reference_on_random_supports():
     rng = random.Random(2024)
     witnesses, directed_witnesses = set(), set()
@@ -264,8 +243,8 @@ def test_subsum_scans_match_the_quadratic_reference_on_random_supports():
         k = _first_subsum_violation(degrees)
         assert k == first_subsum_violation(sorted(degrees, reverse=True)), degrees
         witnesses.add(k)
-        pairs = _near_boundary_pairs(rng, min(s, 120))
-        k = _first_directed_violation(pairs)
+        pairs = near_bipartite_pairs(rng, min(s, 120))
+        k = _first_bipartite_violation(pairs)
         assert k == first_directed_violation(sorted(pairs, reverse=True)), pairs
         directed_witnesses.add(k)
     # the inputs reach both verdicts and witnesses past the first entry
@@ -278,10 +257,11 @@ def test_subsum_scans_match_the_quadratic_reference_exhaustively():
     for n in range(7):
         for seq in combinations_with_replacement(range(n + 1), n):
             assert _first_subsum_violation(seq) == first_subsum_violation(seq[::-1]), seq
-        values = list(product(range(min(n, 3) + 1), repeat=2))
+        top = min(n, 3) + 1
+        values = [(a, 0) for a in range(top)] + [(0, b) for b in range(1, top)]
         for pairs in combinations_with_replacement(values, n):
             want = first_directed_violation(sorted(pairs, reverse=True))
-            assert _first_directed_violation(pairs) == want, pairs
+            assert _first_bipartite_violation(pairs) == want, pairs
 
 
 def test_sequence_tests_agree_with_networkx_at_scale():
@@ -295,12 +275,12 @@ def test_sequence_tests_agree_with_networkx_at_scale():
                 ok, _ = erdos_gallai(degrees)
                 assert ok == nx.is_graphical(degrees)
                 verdicts.add(ok)
-            d = nx.gnm_random_graph(n, 2 * n, seed=rng.randrange(10**6), directed=True)
+            b = nx.bipartite.gnmk_random_graph(n // 2, n - n // 2, 2 * n, seed=rng.randrange(10**6))
             for pairs in (
-                [(d.out_degree(v), d.in_degree(v)) for v in d],
+                [(b.degree(v), 0) for v in range(n // 2)] + [(0, b.degree(v)) for v in range(n // 2, n)],
                 hub_pairs(rng, n),
             ):
-                ok, _ = fulkerson_chen_anstee(pairs)
+                ok = sum(a for a, _ in pairs) == sum(b for _, b in pairs) and _first_bipartite_violation(pairs) is None
                 assert ok == nx.is_digraphical([b for _, b in pairs], [a for a, _ in pairs])
                 directed_verdicts.add(ok)
     assert verdicts == directed_verdicts == {True, False}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from unicover import RootedTree, SimpleGraph
+from unicover import RootedTree, SimpleGraph, canonical_code, neighborhood_collection
 
 
 def random_tree(rng: random.Random, max_nodes: int = 40) -> RootedTree:
@@ -78,17 +78,43 @@ def star_and_head_degrees(rng: random.Random, n: int) -> list[int]:
     return degrees
 
 
+def near_bipartite_pairs(rng: random.Random, s: int) -> list[tuple[int, int]]:
+    """Random bipartite (out, in) counts on s vertices, most of them close to realizable."""
+    sources = rng.randrange(s + 1)
+    if rng.randrange(2):
+        hi = rng.randrange(1, s + 1)
+        out = [rng.randrange(hi + 1) for _ in range(sources)]
+        inn = [rng.randrange(hi + 1) for _ in range(s - sources)]
+    else:
+        out, inn = [0] * sources, [0] * (s - sources)
+        p = rng.random()
+        for u in range(sources):
+            for v in range(s - sources):
+                if rng.random() < p:
+                    out[u] += 1
+                    inn[v] += 1
+        for _ in range(rng.randrange(4) if sources else 0):
+            i, j = rng.randrange(sources), rng.randrange(sources)
+            if out[j]:
+                out[i] += 1
+                out[j] -= 1
+    pairs = [(a, 0) for a in out] + [(0, b) for b in inn]
+    rng.shuffle(pairs)
+    return pairs
+
+
 def hub_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
-    """One hub whose out-degree is about the number of vertices that can take an arc."""
+    """Bipartite (out, in) pairs: one hub whose out-degree is about the number of heads, h.
+
+    The h heads take `per_head` arcs each, and sources of out-degree 1
+    make up the rest, so the hub is realizable exactly when it needs at
+    most h heads.
+    """
     h = rng.randrange(20, 200)
-    per_head = rng.randrange(1, 40)
-    inn = [per_head] * h + [0] * (n - h)
+    per_head = rng.randrange(1, min(40, (n - h) // h))
     hub = rng.randrange(h - 1, h + 2)
     spread = h * per_head - hub
-    out = [hub] + [1] * spread + [0] * (n - 1 - spread)
-    hub_at = rng.choice((0, h))  # the hub is one of the heads, or just past them
-    out[0], out[hub_at] = out[hub_at], out[0]
-    pairs = list(zip(out, inn))
+    pairs = [(0, per_head)] * h + [(hub, 0)] + [(1, 0)] * spread + [(0, 0)] * (n - h - 1 - spread)
     rng.shuffle(pairs)
     return pairs
 
@@ -137,8 +163,6 @@ def swapped_balls(rng: random.Random, n: int) -> list[RootedTree] | None:
     a subsum inequality.  None when no two roots of equal degree have
     children that differ.
     """
-    from unicover import canonical_code, neighborhood_collection
-
     balls = neighborhood_collection(SimpleGraph(n, gnm(rng, n, rng.randrange(n, 2 * n + 1))), 2)
     kids = [[canonical_code(c) for c in ball.children] for ball in balls]
     pairs = [
