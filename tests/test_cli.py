@@ -341,6 +341,8 @@ def test_selftest_output_is_pinned(capsys):
     ]
     payload = {"cases_total": 912, "agreements": 912, "disagreements_total": 0, "runs": runs}
     assert (code, out, err) == (0, json.dumps(payload, indent=2) + "\n", "")
+    # The digest that CHANGES.md quotes for this command's stdout.
+    assert hashlib.sha256(out.encode()).hexdigest() == "929bf07550c49ecc9044b0287577a9739f5264f25d3f60e25357d83a1698396d"
 
 
 def test_composition_law(tmp_path, capsys):
