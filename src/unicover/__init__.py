@@ -18,7 +18,7 @@ _HOMES = {
     "edge_types": "EdgeType TypeClass TypedDegreeTable build_table",
     "errors": "DepthError GraphFormatError InternalInfeasible InternalInvariantError NotGraphical"
     " ParseError SimplicityViolation SizeError UnicoverError",
-    "graphs": "Digraph SimpleGraph read_graph to_dot write_graph",
+    "graphs": "SimpleGraph read_graph to_dot write_graph",
     "oracle": "Disagreement OracleReport cross_validate enumerate_graphs"
     " exists_realization_bruteforce mutate_collection",
     "realize": "glue havel_hakimi kleitman_wang realize_neighborhood",

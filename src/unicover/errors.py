@@ -49,7 +49,7 @@ class InternalInvariantError(UnicoverError):
 
 
 class SimplicityViolation(InternalInvariantError):
-    """Two glued parts contributed the same vertex pair."""
+    """Glued parts gave the same vertex pair twice."""
 
 
 class InternalInfeasible(InternalInvariantError):

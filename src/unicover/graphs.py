@@ -1,4 +1,4 @@
-"""Simple graphs and loopless digraphs on vertices 0..n-1, plus file formats.
+"""Simple graphs on vertices 0..n-1, plus file formats.
 
 The edge-list file format is a header line ``n=<N>`` followed by one ``u v``
 line per edge with u < v; blank lines and '#' comments are allowed anywhere.
@@ -17,22 +17,21 @@ MAX_VERTICES = 10**6
 __all__ = [
     "MAX_VERTICES",
     "SimpleGraph",
-    "Digraph",
     "read_graph",
     "write_graph",
     "to_dot",
 ]
 
 
-def _add_edge(seen: set[tuple[int, int]], n: int, u: int, v: int, directed: bool = False) -> None:
-    """Add (u, v) to `seen`, as (min, max) unless `directed`; ValueError if out of range, a loop or a repeat."""
+def _add_edge(seen: set[tuple[int, int]], n: int, u: int, v: int) -> None:
+    """Add (u, v) to `seen` as (min, max); ValueError if out of range, a loop or a repeat."""
     if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"{'arc' if directed else 'edge'} ({u}, {v}) out of range for n={n}")
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
     if u == v:
         raise ValueError(f"loop at vertex {u}")
-    key = (u, v) if directed or u < v else (v, u)
+    key = (u, v) if u < v else (v, u)
     if key in seen:
-        raise ValueError(f"repeated arc ({u}, {v})" if directed else f"parallel edge ({key[0]}, {key[1]})")
+        raise ValueError(f"parallel edge ({key[0]}, {key[1]})")
     seen.add(key)
 
 
@@ -95,45 +94,6 @@ class SimpleGraph(FrozenSlots):
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, edges={list(self.edges)})"
-
-
-class Digraph(FrozenSlots):
-    """Directed graph without loops; opposite arcs may coexist, each once.
-
-    Immutable (see :class:`~unicover.trees.FrozenSlots`); `arcs` holds each
-    arc (u, v) once, sorted.
-    """
-
-    __slots__ = ("n", "arcs")
-
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
-        seen: set[tuple[int, int]] = set()
-        for u, v in arcs:
-            _add_edge(seen, n, u, v, directed=True)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", tuple(sorted(seen)))
-
-    def bidegree_sequence(self) -> tuple[tuple[int, int], ...]:
-        """(out, in) pair per vertex."""
-        out = [0] * self.n
-        inn = [0] * self.n
-        for u, v in self.arcs:
-            out[u] += 1
-            inn[v] += 1
-        return tuple(zip(out, inn))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Digraph):
-            return NotImplemented
-        return self.n == other.n and self.arcs == other.arcs
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
-
-    def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, arcs={list(self.arcs)})"
 
 
 def _integer(word: str) -> int:

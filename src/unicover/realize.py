@@ -1,9 +1,10 @@
 """Build a graph realizing a typed degree table.
 
-Each entry of the table's plan becomes one part: a diagonal type a simple
-graph with the prescribed degree vector, an inverse pair of non-diagonal
-types a bipartite digraph with the prescribed (out, in) vectors.  The union
-of the edge sets is the realization.  It is provably simple for every table
+Each entry of the table's plan becomes one part: for a diagonal type the
+edges of a simple graph with the prescribed degree vector, for an inverse
+pair of non-diagonal types the arcs of a bipartite digraph with the
+prescribed (out, in) vectors.  The union of the edge sets is the
+realization.  It is provably simple for every table
 built from trees, so a collision while placing the parts is treated as an
 internal bug, never as bad input.  Were uv placed as types (a, b) and (c, d)
 at u, thus (b, a) and (d, c) at v, with a = u's tree less child b cut to
@@ -12,18 +13,20 @@ depth k + 1 and back, so the types are one.  At a single root the same
 induction leaves no vertex on both sides of an inverse pair, or in two
 diagonal types, so each pair is a bipartite degree problem.
 
-Both realizers are deterministic greedies; identical inputs produce
-identical edge lists byte for byte.  :func:`realize_table` takes one pass
-per entry of a checked table's plan, each type on its support alone,
-relabelled in vertex order; a support of s vertices with m edges costs
-O((s + m) log s).  A pair whose counts are ((1, 0), (0, 1)) or
-((0, 1), (1, 0)) has exactly one arc, the one Kleitman–Wang would choose,
-so it is placed directly, with no heap and no Digraph.  One placer maps
-each part's edges back through the plan's vertices into a single owner
-map, checks each part's degrees against its own plan entry in time linear
-in the entry and its edges, and the final graph is built once from that
-map without a second validation.  :func:`glue` checks parts given from outside the plan's
-realizers and hands them to the same placer.
+Both realizers are deterministic greedies that return their edges in local
+labels, in the order placed; identical inputs produce identical edge lists
+byte for byte.  They can fail only by getting stuck, which raises
+InternalInfeasible, so they build no graph and recount no degrees.
+:func:`realize_table` takes one pass per entry of a checked table's plan,
+each type on its support alone, relabelled in vertex order; a support of s
+vertices with m edges costs O((s + m) log s).  A pair whose counts are
+((1, 0), (0, 1)) or ((0, 1), (1, 0)) has exactly one arc, the one
+Kleitman–Wang would choose, so it is placed directly, with no heap.
+:func:`glue` is the one place a part is checked: it maps each part's edges
+back through the plan's vertices into a single owner map, checks the
+part's degrees against its own plan entry in time linear in the entry and
+its edges, and builds the final graph once from that map without a second
+validation.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .edge_types import EdgeType, TypedDegreeTable, build_table
 from .errors import InternalInfeasible, InternalInvariantError, NotGraphical, SimplicityViolation
-from .graphs import Digraph, SimpleGraph
+from .graphs import SimpleGraph
 from .sequences import check_neighborhood
 from .trees import RootedTree
 
@@ -45,16 +48,24 @@ __all__ = [
     "realize_table",
 ]
 
-# A part to place: the edges (arcs for an inverse pair) of one plan entry in
-# local labels, part vertex j being the entry's j-th vertex.
-_Part = Iterable[tuple[int, int]]
-
 # Counts of a pair with one arc, and that arc in local labels.
 _FORCED = {((1, 0), (0, 1)): ((0, 1),), ((0, 1), (1, 0)): ((1, 0),)}
 
 
-def _hh_edges(res: list[int]) -> list[tuple[int, int]]:
-    """Havel–Hakimi's edges (u < v) for the residual degrees `res`, which it uses up."""
+def havel_hakimi(degrees: Sequence[int]) -> list[tuple[int, int]]:
+    """Edges (u < v) of a simple graph with exactly the given degree sequence, in the order placed.
+
+    Greedy: repeatedly pick the vertex with the largest residual degree
+    (lowest index on ties) and connect all its remaining stubs to the
+    vertices with the next-largest residuals (again lowest index on ties).
+    A negative degree raises ValueError; a sequence that is not graphical
+    leaves the greedy stuck, which raises InternalInfeasible.  A heap keyed
+    by (-residual, index) holds the vertices with a positive residual, so s
+    such vertices and m edges cost O((s + m) log s).
+    """
+    res = [int(d) for d in degrees]
+    if any(d < 0 for d in res):
+        raise ValueError("degrees must be non-negative")
     # Every vertex in the heap has exactly one entry, with its current key:
     # a vertex's key only changes while it is popped.
     heap = [(-d, i) for i, d in enumerate(res) if d > 0]
@@ -77,27 +88,24 @@ def _hh_edges(res: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def havel_hakimi(degrees: Sequence[int]) -> SimpleGraph:
-    """Simple graph with exactly the given degree sequence.
+def kleitman_wang(pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Arcs (source, head) of a bipartite digraph with exactly the given (out, in) degree pairs, in the order placed.
 
-    Greedy: repeatedly pick the vertex with the largest residual degree
-    (lowest index on ties) and connect all its remaining stubs to the
-    vertices with the next-largest residuals (again lowest index on ties).
-    The input must be graphical; a stuck state raises InternalInfeasible.
-    A heap keyed by (-residual, index) holds the vertices with a positive
-    residual, so s such vertices and m edges cost O((s + m) log s).
+    Kleitman–Wang's greedy, for pairs with no vertex on both sides (else
+    InternalInvariantError), as in every inverse pair of a table built from
+    trees: each source, largest out-degree first, sends its arcs to the heads
+    of largest residual in-degree, ties going to the lowest index.  Sources
+    never receive arcs and heads never send any, so one static order and one
+    heap serve, at O((s + m) log s) for s vertices and m arcs.  A negative
+    degree raises ValueError; counts that are not realizable leave the greedy
+    stuck, which raises InternalInfeasible.
     """
-    res = [int(d) for d in degrees]
-    if any(d < 0 for d in res):
-        raise ValueError("degrees must be non-negative")
-    graph = SimpleGraph(len(res), _hh_edges(res))
-    if graph.degree_sequence() != tuple(int(d) for d in degrees):
-        raise InternalInfeasible("constructed graph does not match the requested degrees")
-    return graph
-
-
-def _kw_arcs(res_out: list[int], res_in: list[int]) -> list[tuple[int, int]]:
-    """Kleitman–Wang's arcs for bipartite (out, in) degrees; it uses up `res_in`."""
+    res_out = [int(a) for a, _ in pairs]
+    res_in = [int(b) for _, b in pairs]
+    if any(d < 0 for d in res_out + res_in):
+        raise ValueError("degree pairs must be non-negative")
+    if any(a and b for a, b in zip(res_out, res_in)):
+        raise InternalInvariantError("a vertex is on both sides")
     heads = [(-b, i) for i, b in enumerate(res_in) if b > 0]
     heapify(heads)
     arcs: list[tuple[int, int]] = []
@@ -115,46 +123,30 @@ def _kw_arcs(res_out: list[int], res_in: list[int]) -> list[tuple[int, int]]:
     return arcs
 
 
-def kleitman_wang(pairs: Sequence[tuple[int, int]]) -> Digraph:
-    """Bipartite digraph with exactly the given (out, in) degree pairs.
-
-    Kleitman–Wang's greedy, for pairs with no vertex on both sides (else
-    InternalInvariantError), as in every inverse pair of a table built from
-    trees: each source, largest out-degree first, sends its arcs to the heads
-    of largest residual in-degree, ties going to the lowest index.  Sources
-    never receive arcs and heads never send any, so one static order and one
-    heap serve, at O((s + m) log s) for s vertices and m arcs.  A negative
-    degree raises ValueError, and counts that are not realizable
-    InternalInfeasible.
-    """
-    res_out = [int(a) for a, _ in pairs]
-    res_in = [int(b) for _, b in pairs]
-    if any(d < 0 for d in res_out + res_in):
-        raise ValueError("degree pairs must be non-negative")
-    if any(a and b for a, b in zip(res_out, res_in)):
-        raise InternalInvariantError("a vertex is on both sides")
-    want = tuple(zip(res_out, res_in))
-    digraph = Digraph(len(res_out), _kw_arcs(res_out, res_in))
-    if digraph.bidegree_sequence() != want:
-        raise InternalInfeasible("constructed digraph does not match the requested degrees")
-    return digraph
-
-
 def _name(etype: EdgeType) -> str:
     return f"({etype.near},{etype.far})"
 
 
-def _place(table: TypedDegreeTable, parts: Iterable[_Part]) -> SimpleGraph:
-    """Union the parts of `table`'s plan, each checked against its own plan entry once.
+def glue(table: TypedDegreeTable, parts: Iterable[Iterable[tuple[int, int]]]) -> SimpleGraph:
+    """Union the parts realized along `table`'s plan into one simple graph on `table.n` vertices.
 
-    `parts` come in plan order.  Raises what :func:`glue` documents for a
-    checked part, and InternalInvariantError for a loop or an end outside
-    the part's vertices.  Degrees are counted from the placed edges into
-    two arrays over the entry's vertices and compared with its counts.
+    `parts` yields one part per `table.plan` entry, in plan order: the
+    edges of a diagonal type, or the arcs (source, head) of an inverse
+    pair, in the entry's local labels (part vertex j is its j-th vertex);
+    arc directions are forgotten once the part is checked.  A wrong number
+    of parts raises ValueError.  Parts realized from a checked table never
+    trip the other checks, so each indicates a bug: a vertex pair given
+    twice (by two parts, or twice within one) raises SimplicityViolation;
+    plan vertices that do not ascend within 0..n-1, an edge that is a loop
+    or leaves its entry's vertices, or a part whose (bi)degrees differ
+    from its entry's counts (a pair's (out, in) being its A member's count
+    and its inverse's) raise InternalInvariantError.  Each part costs time
+    linear in its entry and its edges, and the graph is built once from
+    the union without a second validation.
     """
     n = table.n
     owner: dict[tuple[int, int], EdgeType] = {}
-    for (etype, (vertices, counts)), ends in zip(table.plan.items(), parts):
+    for (etype, (vertices, counts)), ends in zip(table.plan.items(), parts, strict=True):
         directed = etype.near != etype.far
         k = len(vertices)
         if k and not (0 <= vertices[0] and vertices[-1] < n and sorted(set(vertices)) == list(vertices)):
@@ -183,36 +175,6 @@ def _place(table: TypedDegreeTable, parts: Iterable[_Part]) -> SimpleGraph:
     return SimpleGraph._from_checked(n, owner)
 
 
-def glue(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) -> SimpleGraph:
-    """Union the parts realized along `table`'s plan into one simple graph on `table.n` vertices.
-
-    `parts` holds one part per `table.plan` entry: a SimpleGraph for a
-    diagonal type, a Digraph for an inverse pair, each on that entry's
-    vertices (part vertex j is the j-th); arc directions are forgotten.  A
-    wrong part count, kind or size raises ValueError.  Parts realized from a
-    checked table never trip the other checks, so each indicates a bug: a
-    vertex pair given twice (by two parts, or by both arcs of one Digraph
-    part) raises SimplicityViolation; plan vertices that do not ascend
-    within 0..n-1, or a part whose (bi)degrees differ from its entry's
-    counts (a pair's (out, in) being its A member's count and its
-    inverse's), raise InternalInvariantError.
-    """
-    if len(parts) != len(table.plan):
-        raise ValueError(f"the plan has {len(table.plan)} entries but {len(parts)} parts were given")
-
-    def checked() -> Iterator[_Part]:
-        for (etype, (vertices, _)), part in zip(table.plan.items(), parts):
-            directed = etype.near != etype.far
-            kind = Digraph if directed else SimpleGraph
-            if not isinstance(part, kind) or part.n != len(vertices):
-                raise ValueError(
-                    f"type {_name(etype)} needs a {kind.__name__} part on {len(vertices)} vertices"
-                )
-            yield part.arcs if directed else part.edges
-
-    return _place(table, checked())
-
-
 def realize_neighborhood(trees: Sequence[RootedTree], depth: int) -> SimpleGraph:
     """Graph whose depth-`depth` cover balls match `trees` index by index.
 
@@ -233,11 +195,11 @@ def realize_table(table: TypedDegreeTable) -> SimpleGraph:
 
     # Each type is realized on its support alone, relabelled in vertex order,
     # so the lowest-index tie-breaks pick the same edges as on all n vertices.
-    def realized() -> Iterator[_Part]:
+    def realized() -> Iterator[Iterable[tuple[int, int]]]:
         for etype, (_, counts) in table.plan.items():
             if etype.near == etype.far:
-                yield havel_hakimi(counts).edges
+                yield havel_hakimi(counts)
             else:
-                yield _FORCED.get(counts) or kleitman_wang(counts).arcs
+                yield _FORCED.get(counts) or kleitman_wang(counts)
 
-    return _place(table, realized())
+    return glue(table, realized())

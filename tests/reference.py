@@ -9,9 +9,9 @@ that formed the plan from those supports: `TypedDegreeTable.plan` must
 name and fill the same entries in the same order, and its `supports` view
 must equal the stored supports.  The parser that took one step per
 character: `Forest.parse` must give the same id, or fail with the same
-message, on every string.  The realization that built every part as a
-`SimpleGraph`/`Digraph`, glued them and validated the union again:
-`realize_table` must give the same graph, or raise the same error.  The
+message, on every string.  The realization that recounted every part's
+degrees from the table's supports, glued the parts and validated the union
+again: `realize_table` must give the same graph, or raise the same error.  The
 `verify` command as it was when it parsed every tree line before unfolding:
 matching canonical lines by their code must not change an exit code or a
 byte of output.  The cover balls written out walk by walk: `ball_ids` must
@@ -34,7 +34,6 @@ from typing import Iterator, Sequence
 
 from unicover import (
     DepthError,
-    Digraph,
     EdgeType,
     InternalInvariantError,
     ParseError,
@@ -171,17 +170,26 @@ def fulkerson_chen_anstee(pairs: Sequence[tuple[int, int]]) -> tuple[bool, int |
 MAX_DIGRAPH_VERTICES = 4
 
 
-def enumerate_digraphs(n: int) -> Iterator[Digraph]:
-    """Every labeled loopless digraph on n vertices, exactly once."""
+def enumerate_digraphs(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The arcs of every labeled loopless digraph on n vertices, each digraph exactly once."""
     if not 0 <= n <= MAX_DIGRAPH_VERTICES:
         raise SizeError(f"digraph enumeration supports 0 <= n <= {MAX_DIGRAPH_VERTICES}, got {n}")
     slots = [(u, v) for u in range(n) for v in range(n) if u != v]
     for mask in range(1 << len(slots)):
-        yield Digraph(n, (a for i, a in enumerate(slots) if mask >> i & 1))
+        yield tuple(a for i, a in enumerate(slots) if mask >> i & 1)
 
 
-def havel_hakimi_dense(degrees: Sequence[int]) -> SimpleGraph:
-    """Havel-Hakimi scanning all vertices with `min` and `sorted` at every step."""
+def bidegrees(n: int, arcs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The (out, in) pair of each vertex 0..n-1 under `arcs`."""
+    out, inn = [0] * n, [0] * n
+    for u, v in arcs:
+        out[u] += 1
+        inn[v] += 1
+    return tuple(zip(out, inn))
+
+
+def havel_hakimi_dense(degrees: Sequence[int]) -> list[tuple[int, int]]:
+    """Havel-Hakimi's edges (u < v), in the order placed, scanning all vertices with `min` and `sorted` at every step."""
     res = list(degrees)
     n = len(res)
     edges: list[tuple[int, int]] = []
@@ -198,11 +206,11 @@ def havel_hakimi_dense(degrees: Sequence[int]) -> SimpleGraph:
         for t in targets[:need]:
             res[t] -= 1
             edges.append((v, t) if v < t else (t, v))
-    return SimpleGraph(n, edges)
+    return edges
 
 
-def kleitman_wang_dense(pairs: Sequence[tuple[int, int]]) -> Digraph:
-    """Kleitman-Wang scanning all vertices with `min` and `sorted` at every step."""
+def kleitman_wang_dense(pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Kleitman-Wang's arcs on a loopless digraph, in the order placed, scanning all vertices with `min` and `sorted` at every step."""
     res_out = [a for a, _ in pairs]
     res_in = [b for _, b in pairs]
     n = len(res_out)
@@ -221,7 +229,7 @@ def kleitman_wang_dense(pairs: Sequence[tuple[int, int]]) -> Digraph:
         for t in targets[:need]:
             res_in[t] -= 1
             arcs.append((v, t))
-    return Digraph(n, arcs)
+    return arcs
 
 
 def supports_and_plan(forest: Forest, roots: Sequence[int], depth: int) -> tuple[dict, dict]:
@@ -269,31 +277,32 @@ def pair_support(supports: dict[EdgeType, tuple], rep: EdgeType) -> tuple[tuple[
     return tuple(vertices), tuple((out.get(v, 0), inn.get(v, 0)) for v in vertices)
 
 
-def glue_parts(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) -> SimpleGraph:
-    """`glue` recomputing every part's (bi)degrees and validating the union once more."""
+def glue_parts(table: TypedDegreeTable, parts: Sequence[Sequence[tuple[int, int]]]) -> SimpleGraph:
+    """`glue` recounting every part's (bi)degrees from the supports and validating the union once more."""
     supports, n = table.supports, table.n
     if len(parts) != len(table.plan):
         raise ValueError(f"the plan has {len(table.plan)} entries but {len(parts)} parts were given")
     owner: dict[tuple[int, int], EdgeType] = {}
     for (etype, (vertices, _)), part in zip(table.plan.items(), parts):
         name = f"({etype.near},{etype.far})"
-        kind = SimpleGraph if etype.near == etype.far else Digraph
-        if not isinstance(part, kind) or part.n != len(vertices):
-            raise ValueError(f"type {name} needs a {kind.__name__} part on {len(vertices)} vertices")
         if sorted(set(vertices)) != list(vertices) or (vertices and not 0 <= vertices[0] <= vertices[-1] < n):
             raise InternalInvariantError(f"plan vertices of type {name} must ascend within 0..{n - 1}")
-        if kind is SimpleGraph:
-            got, want = part.degree_sequence(), tuple([c for _, c in supports.get(etype, ())])
-            ends = part.edges
+        k = len(vertices)
+        for u, v in part:
+            if u == v or not (0 <= u < k and 0 <= v < k):
+                raise InternalInvariantError(
+                    f"part of type {name} has an edge ({u}, {v}) that is a loop or leaves its {k} vertices"
+                )
+        got = bidegrees(k, part)
+        if etype.near == etype.far:
+            got, want = tuple([a + b for a, b in got]), tuple([c for _, c in supports.get(etype, ())])
         else:
-            inverse = etype.inverse()
-            out, inn = dict(supports.get(etype, ())), dict(supports.get(inverse, ()))
-            got, want = part.bidegree_sequence(), tuple([(out.get(v, 0), inn.get(v, 0)) for v in vertices])
-            ends = [(u, v) if u < v else (v, u) for u, v in part.arcs]
+            out, inn = dict(supports.get(etype, ())), dict(supports.get(etype.inverse(), ()))
+            want = tuple([(out.get(v, 0), inn.get(v, 0)) for v in vertices])
         if got != want:
             raise InternalInvariantError(f"part of type {name} does not have the table's degrees")
-        for u, v in ends:  # ascending plan vertices keep u < v
-            pair = (vertices[u], vertices[v])
+        for u, v in part:
+            pair = (vertices[u], vertices[v]) if u < v else (vertices[v], vertices[u])
             clash = owner.get(pair)
             if clash is not None:
                 raise SimplicityViolation(
@@ -305,7 +314,7 @@ def glue_parts(table: TypedDegreeTable, parts: Sequence[SimpleGraph | Digraph]) 
 
 def realize_parts(table: TypedDegreeTable) -> SimpleGraph:
     """`realize_table` as one `havel_hakimi` or `kleitman_wang` part per plan entry, then `glue_parts`."""
-    parts: list[SimpleGraph | Digraph] = [
+    parts = [
         havel_hakimi([c for _, c in table.supports[etype]]) if etype.near == etype.far else kleitman_wang(counts)
         for etype, (_, counts) in table.plan.items()
     ]

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import ast
 import copy
+import os
 import pickle
 import re
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -13,7 +16,6 @@ import pytest
 
 import unicover
 from unicover import (
-    Digraph,
     EdgeType,
     FailureKind,
     FailureRecord,
@@ -100,6 +102,19 @@ def test_readme_library_example_uses_only_exports():
     assert used and used <= set(unicover.__all__)
 
 
+def test_readme_library_example_runs_in_dev_mode(tmp_path):
+    # The path.trees that README's command-line example writes.
+    (tmp_path / "path.trees").write_text("((()))\n(()(()))\n(()(()))\n((()))\n", encoding="utf-8")
+    example = _library_section().split("```python\n", 1)[1].split("```", 1)[0]
+    path = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", example],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_readme_library_helpers_exist():
     # A helper deleted without its README line fails here.
     dotted = re.findall(r"\bunicover\.(\w+)\.(\w+)", _library_section())
@@ -118,7 +133,6 @@ def test_records_are_immutable():
         (FailureRecord(diag, FailureKind.ODD_DIAGONAL_SUM), "witness_k"),
         (Verdict(True), "failures"),
         (SimpleGraph(3, [(0, 1)]), "n"),
-        (Digraph(2, [(0, 1)]), "arcs"),
         (cross_validate(2, 1, mutants_per_case=1), "disagreements"),
     ]
     for record, field in records:
@@ -132,12 +146,12 @@ def test_records_are_immutable():
 def test_records_copy_and_pickle():
     tree = parse_tree("(()(()))")
     table = build_table([tree, parse_tree("(())"), parse_tree("()"), parse_tree("(())")], 2)
-    graph, digraph = SimpleGraph(4, [(2, 0), (1, 2)]), Digraph(3, [(1, 0), (0, 1), (2, 1)])
+    graph = SimpleGraph(4, [(2, 0), (1, 2)])
     report = cross_validate(2, 1, mutants_per_case=1)
     for clone in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
         assert clone(tree) == tree
         assert clone(report) == report
-        for record in (table, graph, digraph):
+        for record in (table, graph):
             twin = clone(record)
             assert [getattr(twin, name) for name in record.__slots__] == [
                 getattr(record, name) for name in record.__slots__

@@ -5,7 +5,7 @@ import io
 import pytest
 
 from unicover import graphs
-from unicover import Digraph, GraphFormatError, SimpleGraph, read_graph, to_dot, write_graph
+from unicover import GraphFormatError, SimpleGraph, read_graph, to_dot, write_graph
 
 
 def test_simple_graph_normalizes_and_sorts():
@@ -26,17 +26,6 @@ def test_simple_graph_equality_and_hash():
     b = SimpleGraph(3, [(1, 0)])
     assert a == b and hash(a) == hash(b)
     assert a != SimpleGraph(4, [(0, 1)])
-
-
-def test_digraph_allows_opposite_arcs():
-    d = Digraph(2, [(0, 1), (1, 0)])
-    assert d.bidegree_sequence() == ((1, 1), (1, 1))
-
-
-@pytest.mark.parametrize("arcs", [[(0, 0)], [(0, 1), (0, 1)], [(0, 9)]])
-def test_digraph_rejects_bad_arcs(arcs):
-    with pytest.raises(ValueError):
-        Digraph(3, arcs)
 
 
 def test_graph_file_roundtrip():

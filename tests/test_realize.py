@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from unicover import (
-    Digraph,
     EdgeType,
     InternalInfeasible,
     InternalInvariantError,
@@ -35,7 +34,7 @@ from unicover.realize import realize_table
 from unicover.oracle import mutate_collection
 from unicover.trees import Forest, iter_collection, truncate
 from unicover.unfold import ball_ids, first_difference
-from reference import fulkerson_chen_anstee, havel_hakimi_dense, kleitman_wang_dense, realize_parts
+from reference import bidegrees, fulkerson_chen_anstee, havel_hakimi_dense, kleitman_wang_dense, realize_parts
 from treegen import hub_pairs, path_graph, random_graph, random_tree, star_and_head_degrees
 
 DIAG = EdgeType("()", "()")
@@ -44,23 +43,24 @@ SKEW = EdgeType("()", "(())")
 
 
 def test_havel_hakimi_examples():
-    assert havel_hakimi((1, 1)).edges == ((0, 1),)
-    assert havel_hakimi((0, 0, 0)).edges == ()
-    g = havel_hakimi((3, 3, 2, 2, 1, 1))
+    assert havel_hakimi((1, 1)) == [(0, 1)]
+    assert havel_hakimi((0, 0, 0)) == []
+    g = SimpleGraph(6, havel_hakimi((3, 3, 2, 2, 1, 1)))
     assert g.degree_sequence() == (3, 3, 2, 2, 1, 1)
     assert any(h.degree_sequence() == g.degree_sequence() for h in enumerate_graphs(6))
 
 
 def test_havel_hakimi_exact_on_every_graphical_sequence_up_to_six():
+    # SimpleGraph refuses a loop, a repeated edge or an end out of range.
     for n in range(7):
         for seq in product(range(max(1, n)), repeat=n):
             if erdos_gallai(seq)[0]:
-                assert havel_hakimi(seq).degree_sequence() == tuple(seq)
+                assert SimpleGraph(n, havel_hakimi(seq)).degree_sequence() == tuple(seq)
 
 
 def test_havel_hakimi_deterministic():
     seq = (3, 1, 2, 3, 5, 2, 3, 1)
-    assert havel_hakimi(seq).edges == havel_hakimi(seq).edges
+    assert havel_hakimi(seq) == havel_hakimi(seq)
 
 
 def test_realizers_reject_negative_entries():
@@ -71,10 +71,10 @@ def test_realizers_reject_negative_entries():
 
 
 def test_kleitman_wang_examples():
-    assert kleitman_wang(((1, 0), (0, 1))).arcs == ((0, 1),)
-    assert kleitman_wang(((0, 0), (0, 0))).arcs == ()
-    d = kleitman_wang(((0, 2), (2, 0), (0, 1), (1, 0), (0, 1), (1, 0)))
-    assert d.arcs == ((1, 0), (1, 2), (3, 0), (5, 4))
+    assert kleitman_wang(((1, 0), (0, 1))) == [(0, 1)]
+    assert kleitman_wang(((0, 0), (0, 0))) == []
+    arcs = kleitman_wang(((0, 2), (2, 0), (0, 1), (1, 0), (0, 1), (1, 0)))
+    assert arcs == [(1, 0), (1, 2), (3, 0), (5, 4)]
 
 
 def test_kleitman_wang_exact_on_every_digraphical_sequence_up_to_four():
@@ -83,7 +83,8 @@ def test_kleitman_wang_exact_on_every_digraphical_sequence_up_to_four():
     for n in range(5):
         for pairs in product(values, repeat=n):
             if fulkerson_chen_anstee(pairs)[0]:
-                assert kleitman_wang(pairs).bidegree_sequence() == pairs
+                arcs = kleitman_wang(pairs)
+                assert len(set(arcs)) == len(arcs) and bidegrees(n, arcs) == pairs
 
 
 def _table(n, plan):
@@ -120,12 +121,12 @@ def _path_table():
 def test_glue_single_diagonal_part():
     table = build_table([parse_tree("(())")] * 2, 1)
     assert _diagonal(table) == (DIAG,)
-    assert glue(table, [SimpleGraph(2, [(0, 1)])]) == SimpleGraph(2, [(0, 1)])
+    assert glue(table, [[(0, 1)]]) == SimpleGraph(2, [(0, 1)])
 
 
 def test_glue_maps_parts_back_through_their_labels():
     table = _table(5, {DIAG: ((1, 4), (1, 1))})
-    assert glue(table, [SimpleGraph(2, [(0, 1)])]) == SimpleGraph(5, [(1, 4)])
+    assert glue(table, [[(1, 0)]]) == SimpleGraph(5, [(1, 4)])
 
 
 def test_glue_empty_parts():
@@ -134,60 +135,61 @@ def test_glue_empty_parts():
 
 
 def test_glue_forgets_arc_directions_but_checks_the_tails():
-    part = Digraph(3, [(2, 1), (0, 1)])
+    part = [(2, 1), (0, 1)]
     assert glue(_skew_table((0, 1, 2), 3), [part]).edges == ((0, 1), (1, 2))
     assert glue(_skew_table((2, 5, 7), 8), [part]).edges == ((2, 5), (5, 7))
     # The same edges with every tail at the middle vertex give it the wrong type.
     with pytest.raises(InternalInvariantError, match="degrees"):
-        glue(_skew_table((0, 1, 2), 3), [Digraph(3, [(1, 2), (1, 0)])])
+        glue(_skew_table((0, 1, 2), 3), [[(1, 2), (1, 0)]])
 
 
 def test_glue_detects_cross_part_collision():
     table = _table(3, {DIAG: ((0, 1), (1, 1)), DIAG2: ((0, 1), (1, 1))})
     with pytest.raises(SimplicityViolation, match="again"):
-        glue(table, [SimpleGraph(2, [(0, 1)]), SimpleGraph(2, [(0, 1)])])
+        glue(table, [[(0, 1)], [(0, 1)]])
 
 
 def test_glue_detects_opposite_arcs_in_one_part():
     # Each arc alone is a different edge, so the (out, in) counts match.
     table = _table(2, {SKEW: ((0, 1), ((1, 1), (1, 1)))})
     with pytest.raises(SimplicityViolation, match="again"):
-        glue(table, [Digraph(2, [(0, 1), (1, 0)])])
+        glue(table, [[(0, 1), (1, 0)]])
 
 
-def test_glue_validates_part_kinds_and_sizes():
+def test_glue_detects_an_edge_given_twice_in_one_part():
+    # Both ends get degree 2, as the entry asks, from one edge.
+    table = _table(2, {DIAG: ((0, 1), (2, 2))})
+    with pytest.raises(SimplicityViolation, match="again"):
+        glue(table, [[(0, 1), (1, 0)]])
+
+
+def test_glue_refuses_a_wrong_number_of_parts():
     diagonal = build_table([parse_tree("(())")] * 2, 1)
-    skew = _skew_table((0, 1, 2), 3)
-    for table, parts in [
-        (diagonal, []),
-        (diagonal, [SimpleGraph(2, [(0, 1)])] * 2),
-        (diagonal, [Digraph(2, [(0, 1)])]),
-        (diagonal, [SimpleGraph(3, [(0, 1)])]),
-        (skew, [SimpleGraph(3, [(0, 1), (1, 2)])]),
-        (skew, [Digraph(2, [(0, 1)])]),
-    ]:
-        with pytest.raises(ValueError, match="parts were given|needs a"):
-            glue(table, parts)
+    for parts in ([], [[(0, 1)]] * 2):
+        with pytest.raises(ValueError, match="zip"):
+            glue(diagonal, parts)
+        with pytest.raises(ValueError, match="zip"):
+            glue(diagonal, iter(parts))
 
 
 def test_glue_refuses_plan_vertices_that_do_not_ascend_within_range():
     table = _path_table()
     [(rep, (vertices, counts))] = table.plan.items()
-    part = Digraph(3, [(0, 1), (2, 1)])
+    part = [(0, 1), (2, 1)]
     assert glue(table, [part]).edges == ((0, 1), (1, 2))
     for bad in ((0, 0, 2), (2, 1, 0), (0, 1, 3), (-1, 0, 1)):
         with pytest.raises(InternalInvariantError, match="ascend"):
             glue(_doctored(table, plan={rep: (bad, counts)}), [part])
     with pytest.raises(InternalInvariantError, match="ascend"):
-        glue(_table(4, {DIAG: ((1, 1), (1, 1))}), [SimpleGraph(2, [(0, 1)])])
+        glue(_table(4, {DIAG: ((1, 1), (1, 1))}), [[(0, 1)]])
 
 
 def test_glue_refuses_a_part_with_other_degrees():
     cycle = build_table([parse_tree("((())(()))")] * 4, 2)
     assert len(_diagonal(cycle)) == 1 and _pairs(cycle) == ()
-    assert glue(cycle, [SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])]).edges
+    assert glue(cycle, [[(0, 1), (1, 2), (2, 3), (0, 3)]]).edges
     with pytest.raises(InternalInvariantError, match="degrees"):
-        glue(cycle, [SimpleGraph(4, [(0, 1), (2, 3)])])
+        glue(cycle, [[(0, 1), (2, 3)]])
 
 
 def test_realize_single_edge():
@@ -279,9 +281,9 @@ def test_heap_realizers_match_the_dense_reference():
         sequences.append(list(random_graph(rng, n, rng.random()).degree_sequence()))
         bisequences.append(_random_bidegrees(rng, rng.randrange(1, 60), rng.random()))
     for seq in sequences:
-        assert havel_hakimi(seq).edges == havel_hakimi_dense(seq).edges, seq
+        assert havel_hakimi(seq) == havel_hakimi_dense(seq), seq
     for pairs in bisequences:
-        assert kleitman_wang(pairs).arcs == kleitman_wang_dense(pairs).arcs, pairs
+        assert kleitman_wang(pairs) == kleitman_wang_dense(pairs), pairs
 
 
 def _realized_or_none(realizer, refusal, *args):
@@ -309,7 +311,7 @@ def test_realizers_agree_with_networkx_at_scale():
                 theirs = _realized_or_none(nx.havel_hakimi_graph, nx.NetworkXError, seq)
                 assert (ours is None) == (theirs is None)
                 if ours is not None:
-                    assert list(ours.degree_sequence()) == seq
+                    assert list(SimpleGraph(n, ours).degree_sequence()) == seq
                     # networkx numbers only the positive entries, in order, from 0.
                     positive = [d for d in seq if d > 0]
                     assert [theirs.degree(v) for v in range(n)] == positive + [0] * (n - len(positive))
@@ -327,7 +329,7 @@ def test_realizers_agree_with_networkx_at_scale():
                 )
                 assert (ours is None) == (theirs is None)
                 if ours is not None:
-                    assert list(ours.bidegree_sequence()) == seq
+                    assert len(set(ours)) == len(ours) and list(bidegrees(n, ours)) == seq
                     assert [(theirs.out_degree(v), theirs.in_degree(v)) for v in range(n)] == seq
                     assert nx.number_of_selfloops(theirs) == 0
                 directed_outcomes.add(ours is not None)
@@ -368,13 +370,14 @@ def test_realizers_run_once_per_type_on_its_support(monkeypatch):
     assert forced
 
 
-def test_realize_table_builds_a_digraph_only_per_multi_arc_pair(monkeypatch):
-    digraphs, validated = [], []
+def test_realize_table_validates_no_graph_and_runs_kleitman_wang_per_multi_arc_pair(monkeypatch):
+    # glue checks each part once; no realizer builds a graph, and the union
+    # is built once without a second validation.
+    kw_calls, validated = [], []
 
-    class CountedDigraph(Digraph):
-        def __init__(self, *args):
-            digraphs.append(1)
-            super().__init__(*args)
+    def counted(pairs):
+        kw_calls.append(pairs)
+        return kleitman_wang(pairs)
 
     def validating_init(graph, *args):
         validated.append(graph)
@@ -384,21 +387,20 @@ def test_realize_table_builds_a_digraph_only_per_multi_arc_pair(monkeypatch):
     rng = random.Random(3)
     pairs = [(u, v) for u in range(300) for v in range(u + 1, 300)]
     table = build_table(neighborhood_collection(SimpleGraph(300, rng.sample(pairs, 400)), 3), 3)
-    monkeypatch.setattr(unicover.realize, "Digraph", CountedDigraph)
+    monkeypatch.setattr(unicover.realize, "kleitman_wang", counted)
     monkeypatch.setattr(SimpleGraph, "__init__", validating_init)
     multi = [counts for _, _, counts in _pairs(table) if sum(a for a, _ in counts) > 1]
-    assert 0 < len(multi) < len(_pairs(table))
+    assert 0 < len(multi) < len(_pairs(table)) and _diagonal(table)
     graph = realize_table(table)
-    assert len(digraphs) == len(multi)
-    # havel_hakimi validates each diagonal part; the union is never re-validated.
-    assert len(validated) == len(_diagonal(table))
-    assert all(part is not graph for part in validated)
+    assert kw_calls == multi
+    assert validated == []
+    monkeypatch.undo()
     assert graph == realize_parts(table)
 
 
 def test_forced_arcs_are_the_ones_kleitman_wang_picks():
     for counts, arcs in unicover.realize._FORCED.items():
-        assert kleitman_wang(counts).arcs == arcs
+        assert kleitman_wang(counts) == list(arcs)
 
 
 def _assert_same_graph(table):
@@ -503,7 +505,7 @@ def test_placer_refuses_a_loop_or_an_end_off_the_part():
     table = _path_table()
     for arcs in ([(0, 1), (1, 1)], [(0, 1), (2, 3)], [(-1, 1)]):
         with pytest.raises(InternalInvariantError, match="loop or leaves its 3 vertices"):
-            unicover.realize._place(table, [arcs])
+            glue(table, [arcs])
 
 
 def _raised(call, *args):
