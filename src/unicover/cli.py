@@ -7,11 +7,11 @@ internal error that should be reported as a bug.  Results go to stdout or
 tree collection once, into one Forest, and works on the root ids from then on.
 `verify` counts the tree lines before it unfolds anything.  With `--depth H`
 (H >= 1) it then unfolds the balls into that Forest and loads the trees: a
-line that spells a ball's canonical code is matched by that code, and only
-the other lines are parsed.  It unfolds no deeper than the longest tree line
-can spell: a line of L characters holds no tree of depth L // 2, so a ball
-still growing at that radius matches no line, and one that has stopped is
-the same at radius H.
+line that spells the canonical code of a ball or of one of its subtrees is
+looked up, and only the other lines are parsed.  It unfolds no deeper than
+the longest tree line can spell: a line of L characters holds no tree of
+depth L // 2, so a ball still growing at that radius matches no line, and
+one that has stopped is the same at radius H.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from .edge_types import TypedDegreeTable, table_from_ids
 from .errors import (
@@ -84,15 +84,12 @@ def _write(path: str, emit: Callable[[IO[str]], object]) -> None:
         raise UnicoverError(f"cannot write {'stdout' if path == '-' else path}: {exc.strerror}") from None
 
 
-def _roots(
-    lines: Iterable[str], override: int | None, forest: Forest, known: Mapping[str, int] | None = None
-) -> tuple[list[int], int]:
+def _roots(lines: Iterable[str], override: int | None, forest: Forest) -> tuple[list[int], int]:
     """Root ids of the collection in `forest`, and the override or else the deepest depth (>= 1).
 
     Errors come in this order: a malformed line, then `override`, then a tree deeper than it.
-    `known` is handed to :func:`iter_collection`.
     """
-    pairs = list(iter_collection(lines, forest=forest, known=known))
+    pairs = list(iter_collection(lines, forest=forest))
     roots = [t for _, t in pairs]
     if override is None:
         return roots, max(1, max([forest.depths[t] for t in roots], default=0))
@@ -177,11 +174,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if len(sizes) != graph.n:
         _roots(lines, args.depth, forest)  # a bad line or depth is reported before the count
         raise UnicoverError(f"{len(sizes)} trees for a graph on {graph.n} vertices")
-    balls = known = None
+    balls = None
     if args.depth is not None and args.depth >= 1:
         balls = ball_ids(forest, graph, min(args.depth, max(sizes, default=0) // 2))
-        known = {forest.codes[t]: t for t in balls}
-    roots, depth = _roots(lines, args.depth, forest, known)
+    roots, depth = _roots(lines, args.depth, forest)
     if balls is None:  # the radius was the deepest tree's depth
         balls = ball_ids(forest, graph, depth)
     bad = first_difference(balls, roots)

@@ -21,7 +21,7 @@ its first fault and that fault's position.
 
 from __future__ import annotations
 
-from typing import IO, Container, Iterable, Iterator, Mapping
+from typing import IO, Container, Iterable, Iterator
 
 from .errors import ParseError
 
@@ -68,7 +68,8 @@ class FrozenSlots:
 class RootedTree(FrozenSlots):
     """Unlabeled rooted tree; the storage order of `children` carries no meaning.
 
-    Immutable (see :class:`FrozenSlots`).  Equality and hashing are
+    Immutable (see :class:`FrozenSlots`): `children` is stored as a tuple,
+    whatever iterable it is given.  Equality and hashing are
     structural (order-sensitive); use canonical codes to compare trees up
     to isomorphism.  Both walk the trees with an explicit stack, once per
     distinct pair or object, so depth is bounded only by memory; so do
@@ -79,8 +80,8 @@ class RootedTree(FrozenSlots):
     __slots__ = ("children",)
     children: tuple[RootedTree, ...]
 
-    def __init__(self, children: tuple[RootedTree, ...] = ()) -> None:
-        object.__setattr__(self, "children", children)
+    def __init__(self, children: Iterable[RootedTree] = ()) -> None:
+        object.__setattr__(self, "children", tuple(children))
 
     def __repr__(self) -> str:
         out: list[str] = []
@@ -364,17 +365,14 @@ def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     return ((i, line) for i, line in enumerate(map(str.strip, lines), start=1) if line and not line.startswith("#"))
 
 
-def iter_collection(
-    lines: Iterable[str], *, forest: Forest, known: Mapping[str, int] | None = None
-) -> Iterator[tuple[int, int]]:
+def iter_collection(lines: Iterable[str], *, forest: Forest) -> Iterator[tuple[int, int]]:
     """Yield (line number, id in `forest`) for each tree line of a collection file.
 
-    Only :func:`content_lines` are read, numbered as in the raw input.
-    Each distinct line is parsed once per call.  `known` maps canonical
-    codes to their ids in `forest`; a line that spells one of them is
-    looked up, not parsed.
+    Only :func:`content_lines` are read, numbered as in the raw input.  A
+    line that spells the canonical code of a tree already in `forest` is
+    looked up, not parsed; each other distinct line is parsed once per call.
     """
-    seen: dict[str, int] = dict(known or {})
+    seen = {code: tid for tid, code in enumerate(forest.codes)}
     for lineno, line in content_lines(lines):
         tid = seen.get(line)
         if tid is None:

@@ -6,7 +6,7 @@ and the edge list of a small graph, then get one edit: a tree word with a
 character dropped, doubled or swapped, a graph file with a bad header, a
 repeated edge or an out-of-range end, or raw bytes in place of either file.
 Depths above 6 are left to the memory-capped test in test_verify.py.
-Where `check` reaches a verdict on at most 5 trees, brute force over every
+Where `check` reaches a verdict on at most 6 trees, brute force over every
 graph on that many vertices must agree with it.  Three fixed inputs join
 them: tree words deeper than the recursion limit, a long comment line or
 padded lines, which must not count as tree text, and `n=` headers at and
@@ -111,7 +111,7 @@ def test_every_command_exits_0_1_or_2_with_one_line_at_most(data, graph, depth):
             code = exit_code(argv)
             if argv[:2] == ["check", str(trees)] and code in (0, 1):
                 collection = unicover.read_collection(_read_lines(str(trees)))
-                if len(collection) <= 5:
+                if len(collection) <= 6:
                     h = depth if depth is not None else max(1, max(map(tree_depth, collection), default=0))
                     assert (code == 0) == (exists_realization_bruteforce(collection, h) is not None), argv
 

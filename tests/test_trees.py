@@ -21,8 +21,9 @@ from unicover import (
     write_collection,
 )
 from unicover.trees import Forest, code_sort_key, depth, iter_collection
+from unicover.unfold import ball_ids
 import reference
-from treegen import random_tree, shuffle_tree
+from treegen import random_graph, random_tree, shuffle_tree
 
 trees_st = st.recursive(
     st.just(RootedTree()),
@@ -298,6 +299,20 @@ def test_iter_collection_parses_each_distinct_line_once(monkeypatch):
         list(iter_collection(["(())", "()", "(())", "(x)", "(x)"], forest=Forest()))
 
 
+def test_iter_collection_looks_up_every_code_the_forest_holds(monkeypatch):
+    forest = Forest()
+    balls = ball_ids(forest, random_graph(random.Random(4), 10, 0.3), 3)
+    # A ball whose root children are not all alike, spelled with them in descending order.
+    k = next(k for k, b in enumerate(balls) if len(set(forest.kids[b])) > 1)
+    backwards = "(" + "".join(forest.codes[c] for c in reversed(forest.kids[balls[k]])) + ")"
+    subtree = forest.kids[balls[k]][-1]
+    calls = _count_calls(monkeypatch, "parse")
+    lines = [forest.codes[b] for b in balls] + [forest.codes[subtree], backwards]
+    got = [tid for _, tid in iter_collection(lines, forest=forest)]
+    assert calls == [backwards]
+    assert got == balls + [subtree, balls[k]]
+
+
 def test_equality_and_hash_of_very_deep_trees():
     word = "(" * 3000 + ")" * 3000
     a, b = parse_tree(word), read_collection([word])[0]
@@ -341,6 +356,19 @@ def test_pickle_keeps_the_stored_child_order_and_sharing():
     for twin in (pickle.loads(pickle.dumps(RootedTree((cherry, leaf)))), copy.deepcopy(RootedTree((cherry, leaf)))):
         assert twin != RootedTree((leaf, cherry))
         assert twin.children[0].children[0] is twin.children[0].children[1] is twin.children[1]
+
+
+def test_children_are_stored_as_a_tuple_whatever_the_iterable():
+    leaf = RootedTree()
+    want = RootedTree((leaf, leaf))
+    kids = [leaf, leaf]
+    for tree in (RootedTree(kids), RootedTree(c for c in (leaf, leaf))):
+        assert type(tree.children) is tuple
+        assert tree == want and hash(tree) == hash(want)
+        held = {tree}
+        kids.append(leaf)
+        assert tree in held and tree.children == (leaf, leaf)
+    assert RootedTree(want.children).children is want.children
 
 
 def test_equality_is_structural_and_order_sensitive():
