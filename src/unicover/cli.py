@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success (graphical / match), 1 negative outcome (not
-graphical / mismatch / failed selftest), 2 input error or failed write, 3
-internal error that should be reported as a bug.  Results go to stdout or
-`-o FILE` through `_write`, diagnostics to stderr.  A command parses its
-tree collection once, into one Forest, and works on the root ids from then on.
-`verify` counts the tree lines before it unfolds anything.  With `--depth H`
-(H >= 1) it then unfolds the balls into that Forest and loads the trees: a
+graphical / mismatch / failed selftest), 2 input error, failed write or a
+stdin or stdout closed at start-up, 3 internal error that should be reported
+as a bug.  Results go to stdout or `-o FILE` through `_write`, diagnostics
+to stderr through `_say`, which drops one that stderr cannot take, so the
+exit code never depends on stderr.  A command parses its tree collection
+once, into one Forest, and works on the root ids from then on.  `verify`
+counts the tree lines before it unfolds anything, and unfolds only when the
+count matches.  With `--depth H` (H >= 1) it then unfolds the balls into
+that Forest and loads the trees: a
 line that spells the canonical code of a ball or of one of its subtrees is
 looked up, and only the other lines are parsed.  It unfolds no deeper than
 the longest tree line can spell: a line of L characters holds no tree of
@@ -17,6 +20,7 @@ one that has stopped is the same at radius H.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -44,6 +48,22 @@ from .trees import canonical_code as serialize  # noqa: F401
 from .unfold import first_mismatch, neighborhood_collection  # noqa: F401
 
 
+def _std(stream: IO[str] | None) -> IO[str]:
+    """Standard stream `stream`, or the OSError its descriptor gives if it was closed when Python started."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream
+
+
+def _mute(stream: IO[str] | None, original: IO[str] | None) -> None:
+    """Point the descriptor of a standard stream Python opened at the null device after a failed write.
+
+    Python flushes the stream again at exit, where the bytes still buffered would fail twice.
+    """
+    if stream is not None and stream is original:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _read_lines(path: str) -> list[str]:
     """Lines of the UTF-8 text in file `path`, or on stdin for '-'.
 
@@ -54,11 +74,11 @@ def _read_lines(path: str) -> list[str]:
         if path != "-":
             with open(path, "rb") as handle:
                 text = handle.read().decode("utf-8")
-        elif hasattr(sys.stdin, "buffer"):
-            # The bytes, so undecodable input fails here whatever stdin's error handler.
-            text = sys.stdin.buffer.read().decode("utf-8")
-        else:  # a text-only stream such as io.StringIO
-            text = sys.stdin.read()
+        else:
+            stdin = _std(sys.stdin)
+            # The bytes, so undecodable input fails here whatever stdin's error handler;
+            # a text-only stream such as io.StringIO has none.
+            text = stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
         return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     except OSError as exc:
         raise UnicoverError(f"cannot read {name}: {exc.strerror}") from None
@@ -72,16 +92,23 @@ def _write(path: str, emit: Callable[[IO[str]], object]) -> None:
     """Hand file `path`, or stdout for '-', to `emit`; a failed write is bad input (exit 2)."""
     try:
         if path == "-":
-            emit(sys.stdout)
+            emit(_std(sys.stdout))
             sys.stdout.flush()
         else:
             with open(path, "w", encoding="utf-8") as handle:
                 emit(handle)
     except OSError as exc:
-        if path == "-" and sys.stdout is sys.__stdout__:
-            # Python flushes stdout again at exit, where the bytes still buffered would fail twice.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if path == "-":
+            _mute(sys.stdout, sys.__stdout__)
         raise UnicoverError(f"cannot write {'stdout' if path == '-' else path}: {exc.strerror}") from None
+
+
+def _say(message: str) -> None:
+    """Write one diagnostic line to stderr; one that cannot be written is dropped, and the exit code stands."""
+    try:
+        print(message, file=_std(sys.stderr), flush=True)
+    except OSError:
+        _mute(sys.stderr, sys.__stderr__)
 
 
 def _roots(lines: Iterable[str], override: int | None, forest: Forest) -> tuple[list[int], int]:
@@ -139,7 +166,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     table = table_from_ids(forest, roots, depth)
     verdict = check_neighborhood(table)
     if not verdict.graphical:
-        print(f"not graphical at depth {depth}: {NotGraphical(verdict)}", file=sys.stderr)
+        _say(f"not graphical at depth {depth}: {NotGraphical(verdict)}")
         _write("-", lambda out: _emit_verdict(out, verdict, depth))
         return 1
     graph = realize_table(table)
@@ -171,20 +198,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines = _read_lines(args.trees)
     sizes = [len(line) for _, line in content_lines(lines)]
     forest = Forest()
-    if len(sizes) != graph.n:
-        _roots(lines, args.depth, forest)  # a bad line or depth is reported before the count
-        raise UnicoverError(f"{len(sizes)} trees for a graph on {graph.n} vertices")
     balls = None
-    if args.depth is not None and args.depth >= 1:
+    if len(sizes) == graph.n and args.depth is not None and args.depth >= 1:
         balls = ball_ids(forest, graph, min(args.depth, max(sizes, default=0) // 2))
-    roots, depth = _roots(lines, args.depth, forest)
+    roots, depth = _roots(lines, args.depth, forest)  # a bad line or depth is reported before the count
+    if len(roots) != graph.n:
+        raise UnicoverError(f"{len(roots)} trees for a graph on {graph.n} vertices")
     if balls is None:  # the radius was the deepest tree's depth
         balls = ball_ids(forest, graph, depth)
     bad = first_difference(balls, roots)
     if bad is None:
-        print(f"ok: all {graph.n} vertices match at depth {depth}", file=sys.stderr)
+        _say(f"ok: all {graph.n} vertices match at depth {depth}")
         return 0
-    print(f"mismatch at vertex {bad}", file=sys.stderr)
+    _say(f"mismatch at vertex {bad}")
     return 1
 
 
@@ -264,13 +290,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except InternalInvariantError as exc:
-        print(f"internal error (please report): {exc}", file=sys.stderr)
+        _say(f"internal error (please report): {exc}")
         return 3
     except UnicoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
     except Exception as exc:  # anything else is a bug, never a verdict
-        print(f"internal error (please report): {type(exc).__name__}: {exc}", file=sys.stderr)
+        _say(f"internal error (please report): {type(exc).__name__}: {exc}")
         return 3
 
 

@@ -15,9 +15,8 @@ code strings are read only for reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .edge_types import table_from_ids
 from .errors import SizeError, UnicoverError
@@ -152,24 +151,17 @@ def mutate_collection(trees: Sequence[RootedTree], rng: random.Random) -> list[R
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(NamedTuple):
     collection: tuple[str, ...]
     checker: bool
     oracle: bool
     detail: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "collection": list(self.collection),
-            "checker": self.checker,
-            "oracle": self.oracle,
-            "detail": self.detail,
-        }
+        return {**self._asdict(), "collection": list(self.collection)}
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Outcome of one cross-validation run.
 
     `disagreements` holds every case that failed certification, including

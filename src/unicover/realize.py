@@ -13,9 +13,9 @@ depth k + 1 and back, so the types are one.  At a single root the same
 induction leaves no vertex on both sides of an inverse pair, or in two
 diagonal types, so each pair is a bipartite degree problem.
 
-Both realizers are deterministic greedies that return their edges in local
-labels, in the order placed; identical inputs produce identical edge lists
-byte for byte.  They can fail only by getting stuck, which raises
+Both realizers are deterministic greedies on one step, :func:`_draw`, and
+return their edges in local labels, in the order placed, the same for the
+same input.  They fail only by getting stuck, which raises
 InternalInfeasible, so they build no graph and recount no degrees.
 :func:`realize_table` takes one pass per entry of a checked table's plan,
 each type on its support alone, relabelled in vertex order; a support of s
@@ -31,7 +31,7 @@ validation.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+import heapq
 from typing import Iterable, Iterator, Sequence
 
 from .edge_types import EdgeType, TypedDegreeTable, build_table
@@ -52,7 +52,22 @@ __all__ = [
 _FORCED = {((1, 0), (0, 1)): ((0, 1),), ((0, 1), (1, 0)): ((1, 0),)}
 
 
-def havel_hakimi(degrees: Sequence[int]) -> list[tuple[int, int]]:
+def _draw(heap: list[tuple[int, int]], need: int) -> list[tuple[int, int]]:
+    """Draw `need` vertices off `heap`, whose entries are (-residual, vertex), least key first.
+
+    Each gives one stub and goes back while it has residual left, so a vertex has one entry, with its
+    current key.  Returns the drawn entries in order; too few leave the greedy stuck (InternalInfeasible).
+    """
+    if need > len(heap):
+        raise InternalInfeasible(f"cannot place {need} stubs at a vertex with only {len(heap)} candidates")
+    drawn = [heapq.heappop(heap) for _ in range(need)]
+    for key, t in drawn:
+        if key < -1:
+            heapq.heappush(heap, (key + 1, t))
+    return drawn
+
+
+def havel_hakimi(degrees: Iterable[int]) -> list[tuple[int, int]]:
     """Edges (u < v) of a simple graph with exactly the given degree sequence, in the order placed.
 
     Greedy: repeatedly pick the vertex with the largest residual degree
@@ -63,32 +78,19 @@ def havel_hakimi(degrees: Sequence[int]) -> list[tuple[int, int]]:
     by (-residual, index) holds the vertices with a positive residual, so s
     such vertices and m edges cost O((s + m) log s).
     """
-    res = [int(d) for d in degrees]
-    if any(d < 0 for d in res):
+    degrees = [int(d) for d in degrees]
+    if any(d < 0 for d in degrees):
         raise ValueError("degrees must be non-negative")
-    # Every vertex in the heap has exactly one entry, with its current key:
-    # a vertex's key only changes while it is popped.
-    heap = [(-d, i) for i, d in enumerate(res) if d > 0]
-    heapify(heap)
+    heap = [(-d, i) for i, d in enumerate(degrees) if d > 0]
+    heapq.heapify(heap)
     edges: list[tuple[int, int]] = []
     while heap:
-        key, v = heappop(heap)
-        need = -key
-        res[v] = 0
-        targets = [heappop(heap)[1] for _ in range(min(need, len(heap)))]
-        if len(targets) < need:
-            raise InternalInfeasible(
-                f"cannot place {need} edges at a vertex with only {len(targets)} candidates"
-            )
-        for t in targets:
-            res[t] -= 1
-            edges.append((v, t) if v < t else (t, v))
-            if res[t]:
-                heappush(heap, (-res[t], t))
+        key, v = heapq.heappop(heap)
+        edges.extend((v, t) if v < t else (t, v) for _, t in _draw(heap, -key))
     return edges
 
 
-def kleitman_wang(pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+def kleitman_wang(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Arcs (source, head) of a bipartite digraph with exactly the given (out, in) degree pairs, in the order placed.
 
     Kleitman–Wang's greedy, for pairs with no vertex on both sides (else
@@ -100,24 +102,19 @@ def kleitman_wang(pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     degree raises ValueError; counts that are not realizable leave the greedy
     stuck, which raises InternalInfeasible.
     """
-    res_out = [int(a) for a, _ in pairs]
-    res_in = [int(b) for _, b in pairs]
-    if any(d < 0 for d in res_out + res_in):
+    pairs = list(pairs)  # read once, so an iterator serves as a list does
+    outs = [int(a) for a, _ in pairs]
+    ins = [int(b) for _, b in pairs]
+    if any(d < 0 for d in outs + ins):
         raise ValueError("degree pairs must be non-negative")
-    if any(a and b for a, b in zip(res_out, res_in)):
+    if any(a and b for a, b in zip(outs, ins)):
         raise InternalInvariantError("a vertex is on both sides")
-    heads = [(-b, i) for i, b in enumerate(res_in) if b > 0]
-    heapify(heads)
+    heads = [(-b, i) for i, b in enumerate(ins) if b > 0]
+    heapq.heapify(heads)
     arcs: list[tuple[int, int]] = []
-    for v in sorted((i for i, a in enumerate(res_out) if a > 0), key=lambda i: (-res_out[i], i)):
-        need = res_out[v]
-        if need > len(heads):
-            raise InternalInfeasible(f"cannot place {need} arcs at a vertex with only {len(heads)} candidates")
-        for _, t in [heappop(heads) for _ in range(need)]:
-            res_in[t] -= 1
+    for v in sorted((i for i, a in enumerate(outs) if a > 0), key=lambda i: (-outs[i], i)):
+        for _, t in _draw(heads, outs[v]):
             arcs.append((v, t))
-            if res_in[t]:
-                heappush(heads, (-res_in[t], t))
     if heads:
         raise InternalInfeasible("in-stubs left over after all out-stubs were placed")
     return arcs

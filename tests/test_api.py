@@ -16,9 +16,11 @@ import pytest
 
 import unicover
 from unicover import (
+    Disagreement,
     EdgeType,
     FailureKind,
     FailureRecord,
+    OracleReport,
     SimpleGraph,
     Verdict,
     build_table,
@@ -170,6 +172,11 @@ def test_named_tuple_records_keep_their_repr_and_compare_as_tuples():
     assert repr(EdgeType("()", "(())")) == "EdgeType(near='()', far='(())')"
     assert EdgeType("()", "(())") == ("()", "(())")
     assert Verdict(True) == (True, ())
+    disagreement, report = Disagreement(("()",), True, False), OracleReport(1, 1, 2, 2, ())
+    assert repr(disagreement) == "Disagreement(collection=('()',), checker=True, oracle=False, detail='')"
+    assert disagreement == (("()",), True, False, "")
+    assert repr(report) == "OracleReport(n=1, depth=1, cases_total=2, agreements=2, disagreements=())"
+    assert report == (1, 1, 2, 2, ())
 
 
 def test_cli_writes_results_only_through_write():

@@ -10,14 +10,18 @@ Where `check` reaches a verdict on at most 6 trees, brute force over every
 graph on that many vertices must agree with it.  Three fixed inputs join
 them: tree words deeper than the recursion limit, a long comment line or
 padded lines, which must not count as tree text, and `n=` headers at and
-past `MAX_VERTICES`.
+past `MAX_VERTICES`.  A standard stream closed at start-up is bad input too,
+and a diagnostic that stderr cannot take leaves the exit code as it was.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -32,6 +36,8 @@ from unicover.cli import _read_lines, main
 from unicover.graphs import MAX_VERTICES
 from unicover.oracle import exists_realization_bruteforce
 from unicover.trees import depth as tree_depth
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @st.composite
@@ -197,3 +203,40 @@ def test_counts_at_and_past_the_vertex_limit(tmp_path, graph_text, commands):
     graph.write_text(graph_text)
     argv = {"neighborhoods": ["neighborhoods", str(graph), "--depth=1"], "verify": ["verify", str(graph), str(trees)]}
     assert [exit_code(argv[c]) for c in commands] == [2] * len(commands)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "redirected, code, err",
+    [
+        pytest.param("check - <&-", 2, "error: cannot read stdin: Bad file descriptor\n", id="closed-stdin"),
+        pytest.param(
+            "neighborhoods g.txt --depth 1 >&-",
+            2,
+            "error: cannot write stdout: Bad file descriptor\n",
+            id="closed-stdout",
+        ),
+        pytest.param("verify g.txt t.txt 2>/dev/full", 0, "", id="full-stderr-on-a-match"),
+        pytest.param("check bad.txt 2>/dev/full", 2, "", id="full-stderr-on-bad-input"),
+    ],
+)
+def test_a_closed_or_full_standard_stream_keeps_the_contract(tmp_path, redirected, code, err, unbuffered):
+    if "/dev/full" in redirected and not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    (tmp_path / "g.txt").write_text("n=2\n0 1\n")
+    (tmp_path / "t.txt").write_text("(())\n(())\n")
+    (tmp_path / "bad.txt").write_text("(()\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$0" -m unicover.cli {redirected}', sys.executable],
+        cwd=tmp_path,
+        env=env,
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)

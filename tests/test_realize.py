@@ -77,6 +77,14 @@ def test_kleitman_wang_examples():
     assert arcs == [(1, 0), (1, 2), (3, 0), (5, 4)]
 
 
+def test_realizers_read_an_iterator_or_a_generator_as_they_read_the_list():
+    degrees, pairs = [3, 3, 2, 2, 1, 1], [(1, 0), (0, 1), (2, 0), (0, 2)]
+    for realize, counts in ((havel_hakimi, degrees), (kleitman_wang, pairs)):
+        want = realize(counts)
+        assert want and realize(iter(counts)) == want
+        assert realize(c for c in counts) == want
+
+
 def test_kleitman_wang_exact_on_every_digraphical_sequence_up_to_four():
     # Every vector with entries below 4 and no vertex on both sides.
     values = [(a, 0) for a in range(4)] + [(0, b) for b in range(1, 4)]
