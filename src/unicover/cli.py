@@ -3,18 +3,18 @@
 Exit codes: 0 success (graphical / match), 1 negative outcome (not
 graphical / mismatch / failed selftest), 2 input error, failed write or a
 stdin or stdout closed at start-up, 3 internal error that should be reported
-as a bug.  Results go to stdout or `-o FILE` through `_write`, diagnostics
-to stderr through `_say`, which drops one that stderr cannot take, so the
-exit code never depends on stderr.  A command parses its tree collection
-once, into one Forest, and works on the root ids from then on.  `verify`
-counts the tree lines before it unfolds anything, and unfolds only when the
-count matches.  With `--depth H` (H >= 1) it then unfolds the balls into
-that Forest and loads the trees: a
-line that spells the canonical code of a ball or of one of its subtrees is
-looked up, and only the other lines are parsed.  It unfolds no deeper than
-the longest tree line can spell: a line of L characters holds no tree of
-depth L // 2, so a ball still growing at that radius matches no line, and
-one that has stopped is the same at radius H.
+as a bug.  Results, `--help` text included, go to stdout or `-o FILE`
+through `_write`, diagnostics to stderr through `_say`, which drops one that
+stderr cannot take, so the exit code never depends on stderr.  A command
+parses its tree collection once, into one Forest, and works on the root ids
+from then on.  `verify` counts the tree lines before it unfolds anything,
+and unfolds only when the count matches.  With `--depth H` (H >= 1) it then
+unfolds the balls into that Forest and loads the trees: a line that spells
+the canonical code of a ball or of one of its subtrees is looked up, and
+only the other lines are parsed.  It unfolds no deeper than the longest
+tree line can spell: a line of L characters holds no tree of depth L // 2,
+so a ball still growing at that radius matches no line, and one that has
+stopped is the same at radius H.
 """
 
 from __future__ import annotations
@@ -238,8 +238,13 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if bad == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self) -> None:  # help text is a result: a failed write exits 2
+        _write("-", lambda out: out.write(self.format_help()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unicover",
         description=(
             "Decide whether a collection of rooted trees is the collection of "
@@ -286,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InternalInvariantError as exc:
         _say(f"internal error (please report): {exc}")

@@ -165,12 +165,12 @@ class Forest:
     A node is the tuple of its child ids sorted by the :func:`code_sort_key`
     order of their codes, so two trees get the same id exactly when they are
     isomorphic.  Children are interned before their parent, and each new id
-    records once its canonical code (`codes`), the code's
-    :func:`code_sort_key` (`keys`), its depth (`depths`) and its sorted
-    child ids (`kids`).  :meth:`tree` builds an id's
-    :class:`RootedTree` on first request, children in canonical order and
-    made of the children's shared objects.  Nothing here recurses, so input
-    depth is bounded only by memory.
+    records once its canonical code (`codes`), the code's :func:`code_sort_key`
+    (`keys`), its depth (`depths`) and its sorted child ids (`kids`), which
+    are its one key in the interning table `_ids`, whatever child order it
+    came in.  :meth:`tree` builds an id's :class:`RootedTree` on first
+    request, children in canonical order and made of the children's shared
+    objects.  Nothing here recurses, so input depth is bounded only by memory.
     """
 
     def __init__(self) -> None:
@@ -197,8 +197,6 @@ class Forest:
                 self.codes.append(code)
                 self.keys.append((len(code), code))
                 self.depths.append(1 + max([self.depths[c] for c in kids]) if kids else 0)
-            # The same children in the same order later skip the sort.
-            self._ids[given] = tid
         return tid
 
     def tree(self, tid: int) -> RootedTree:
@@ -224,10 +222,10 @@ class Forest:
 
         Once every leaf "()" is folded into one ".", each closed node's
         child tuple is looked up in the interning table directly, and
-        :meth:`node` is called only for a node not seen before.  The
-        outermost list collects the root, so the word is well formed
-        exactly when the loop ends with no node open and one id in that
-        list; otherwise :func:`_fault` names the first fault.
+        :meth:`node` is called only for a node not seen before or written
+        out of canonical order.  The outermost list collects the root, so the
+        word is well formed exactly when the loop ends with no node open and
+        one id in that list; otherwise :func:`_fault` names the first fault.
         """
         word = text.strip()
         if word and not word.translate(_DROP_PARENS):

@@ -11,11 +11,13 @@ graph on that many vertices must agree with it.  Three fixed inputs join
 them: tree words deeper than the recursion limit, a long comment line or
 padded lines, which must not count as tree text, and `n=` headers at and
 past `MAX_VERTICES`.  A standard stream closed at start-up is bad input too,
+`--help` text that stdout cannot take is a failed write like any result,
 and a diagnostic that stderr cannot take leaves the exit code as it was.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
@@ -205,6 +207,15 @@ def test_counts_at_and_past_the_vertex_limit(tmp_path, graph_text, commands):
     assert [exit_code(argv[c]) for c in commands] == [2] * len(commands)
 
 
+def _env(unbuffered: bool) -> dict[str, str]:
+    """This process's environment with `src` first on PYTHONPATH, and stdout unbuffered if asked."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "redirected, code, err",
@@ -218,6 +229,14 @@ def test_counts_at_and_past_the_vertex_limit(tmp_path, graph_text, commands):
         ),
         pytest.param("verify g.txt t.txt 2>/dev/full", 0, "", id="full-stderr-on-a-match"),
         pytest.param("check bad.txt 2>/dev/full", 2, "", id="full-stderr-on-bad-input"),
+        pytest.param("--help >/dev/full", 2, "error: cannot write stdout: No space left on device\n", id="full-help"),
+        pytest.param(
+            "check --help >/dev/full",
+            2,
+            "error: cannot write stdout: No space left on device\n",
+            id="full-command-help",
+        ),
+        pytest.param("--help >&-", 2, "error: cannot write stdout: Bad file descriptor\n", id="closed-help"),
     ],
 )
 def test_a_closed_or_full_standard_stream_keeps_the_contract(tmp_path, redirected, code, err, unbuffered):
@@ -226,17 +245,32 @@ def test_a_closed_or_full_standard_stream_keeps_the_contract(tmp_path, redirecte
     (tmp_path / "g.txt").write_text("n=2\n0 1\n")
     (tmp_path / "t.txt").write_text("(())\n(())\n")
     (tmp_path / "bad.txt").write_text("(()\n")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.run(
         ["sh", "-c", f'exec "$0" -m unicover.cli {redirected}', sys.executable],
         cwd=tmp_path,
-        env=env,
+        env=_env(unbuffered),
         stdin=subprocess.DEVNULL,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [None, "check"])
+def test_help_that_stdout_takes_is_argparse_text_and_exits_0(monkeypatch, command, unbuffered):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+    parser = cli.build_parser()
+    if command is not None:
+        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    argv = [command, "--help"] if command else ["--help"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "unicover.cli", *argv],
+        env=_env(unbuffered),
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, parser.format_help(), "")

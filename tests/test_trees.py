@@ -21,7 +21,7 @@ from unicover import (
     write_collection,
 )
 from unicover.trees import Forest, code_sort_key, depth, iter_collection
-from unicover.unfold import ball_ids
+from unicover.unfold import ball_ids, neighborhood_collection
 import reference
 from treegen import random_graph, random_tree, shuffle_tree
 
@@ -273,19 +273,58 @@ def _count_calls(monkeypatch, name: str) -> list[tuple]:
     return calls
 
 
+def _out_of_order(tree: RootedTree) -> int:
+    """Internal nodes of `tree`, counted per occurrence, whose children are not stored in canonical order."""
+    codes = [canonical_code(c) for c in tree.children]
+    unsorted = codes != sorted(codes, key=code_sort_key)
+    return unsorted + sum(map(_out_of_order, tree.children))
+
+
 def test_parse_interns_each_internal_node_at_most_once_and_no_leaf(monkeypatch):
     rng = random.Random(3)
-    words = [_stored_code(shuffle_tree(random_tree(rng), rng)) for _ in range(200)]
+    shuffled = [shuffle_tree(random_tree(rng), rng) for _ in range(200)]
+    words = [_stored_code(t) for t in shuffled]
     forest = Forest()
     calls = _count_calls(monkeypatch, "node")
     ids = [forest.parse(w) for w in words]
     internal = sum(w.count("(") - w.count("()") for w in words)
     assert 0 < len(calls) <= internal
     assert all(calls)  # no call for a leaf, whose child tuple is empty
-    # Once a node is interned, its child tuple is found without a call.
+    # Once a node is interned, its canonical child tuple is found without a call.
     calls.clear()
-    assert [forest.parse(w) for w in words] == ids
+    assert [forest.parse(forest.codes[t]) for t in ids] == ids
     assert calls == []
+    # A child order seen before is not stored, so each node spelled out of order costs one call.
+    assert [forest.parse(w) for w in words] == ids
+    assert 0 < len(calls) == sum(map(_out_of_order, shuffled))
+
+
+def test_forest_stores_one_interning_key_per_tree():
+    rng = random.Random(5)
+    shuffled = [shuffle_tree(random_tree(rng), rng) for _ in range(200)]
+    graph = random_graph(random.Random(6), 30, 0.15)
+    ball_words = [_stored_code(shuffle_tree(b, rng)) for b in neighborhood_collection(graph, 3)]
+
+    def one_key_per_tree(forest: Forest) -> bool:
+        return len(forest._ids) == len(forest.kids) and all(forest._ids[k] == t for t, k in enumerate(forest.kids))
+
+    forest = Forest()
+    for t in shuffled:
+        forest.parse(_stored_code(t))
+    assert one_key_per_tree(forest)
+    # As `realize --verify` runs: the balls are unfolded into the Forest holding the parsed trees.
+    forest = Forest()
+    roots = [forest.parse(w) for w in ball_words]
+    assert ball_ids(forest, graph, 3) == roots
+    assert one_key_per_tree(forest)
+    # As `verify --depth` runs: the trees are parsed into the Forest that the unfold filled.
+    forest = Forest()
+    balls = ball_ids(forest, graph, 3)
+    assert [forest.parse(w) for w in ball_words] == balls
+    assert one_key_per_tree(forest)
+    forest = Forest()
+    list(forest.intern(shuffled))
+    assert one_key_per_tree(forest)
 
 
 def test_iter_collection_parses_each_distinct_line_once(monkeypatch):
