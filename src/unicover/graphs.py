@@ -111,23 +111,22 @@ def read_graph(lines: Iterable[str]) -> SimpleGraph:
     is checked on its own (range, loop, repeat of an earlier line), and the
     graph is built once at the end without checking the edges again.
     """
-    n: int | None = None
+    rows = content_lines(lines)
+    lineno, line = next(rows, (None, ""))
+    if lineno is None:
+        raise GraphFormatError("missing 'n=<count>' header")
+    if not line.startswith("n="):
+        raise GraphFormatError(f"line {lineno}: expected 'n=<count>' header")
+    try:
+        n = _integer(line[2:])
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: bad vertex count {line[2:]!r}") from None
+    if n < 0:
+        raise GraphFormatError(f"line {lineno}: vertex count must be >= 0")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
     seen: set[tuple[int, int]] = set()
-    for lineno, line in content_lines(lines):
-        if n is None:
-            if not line.startswith("n="):
-                raise GraphFormatError(f"line {lineno}: expected 'n=<count>' header")
-            try:
-                n = _integer(line[2:])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: bad vertex count {line[2:]!r}") from None
-            if n < 0:
-                raise GraphFormatError(f"line {lineno}: vertex count must be >= 0")
-            if n > MAX_VERTICES:
-                raise GraphFormatError(
-                    f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
-                )
-            continue
+    for lineno, line in rows:
         parts = line.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
@@ -139,8 +138,6 @@ def read_graph(lines: Iterable[str]) -> SimpleGraph:
             _add_edge(seen, n, u, v)
         except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
-    if n is None:
-        raise GraphFormatError("missing 'n=<count>' header")
     return SimpleGraph._from_checked(n, seen)
 
 

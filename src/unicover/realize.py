@@ -4,14 +4,14 @@ Each entry of the table's plan becomes one part: for a diagonal type the
 edges of a simple graph with the prescribed degree vector, for an inverse
 pair of non-diagonal types the arcs of a bipartite digraph with the
 prescribed (out, in) vectors.  The union of the edge sets is the
-realization.  It is provably simple for every table
-built from trees, so a collision while placing the parts is treated as an
-internal bug, never as bad input.  Were uv placed as types (a, b) and (c, d)
-at u, thus (b, a) and (d, c) at v, with a = u's tree less child b cut to
-depth h - 1 and so on, then b, d agreeing to depth k makes a, c agree to
-depth k + 1 and back, so the types are one.  At a single root the same
-induction leaves no vertex on both sides of an inverse pair, or in two
-diagonal types, so each pair is a bipartite degree problem.
+realization.  It is provably simple for every table built from trees, so a
+collision while placing the parts is treated as an internal bug, never as
+bad input.  Were uv placed as types (a, b) and (c, d) at u, thus (b, a) and
+(d, c) at v, with a = u's tree less child b cut to depth h - 1 and so on,
+then b, d agreeing to depth k makes a, c agree to depth k + 1 and back, so
+the types are one.  At a single root the same induction leaves no vertex on
+both sides of an inverse pair, or in two diagonal types, so each pair is a
+bipartite degree problem.
 
 Both realizers are deterministic greedies on one step, :func:`_draw`, and
 return their edges in local labels, in the order placed, the same for the
@@ -22,16 +22,18 @@ each type on its support alone, relabelled in vertex order; a support of s
 vertices with m edges costs O((s + m) log s).  A pair whose counts are
 ((1, 0), (0, 1)) or ((0, 1), (1, 0)) has exactly one arc, the one
 Kleitman–Wang would choose, so it is placed directly, with no heap.
-:func:`glue` is the one place a part is checked: it maps each part's edges
-back through the plan's vertices into a single owner map, checks the
-part's degrees against its own plan entry in time linear in the entry and
-its edges, and builds the final graph once from that map without a second
-validation.
+:func:`glue` is the one place a part is checked, in one pass: each edge is
+counted at both ends and filed, through the plan's vertices, in a single
+owner map as it is read, so a repeated pair is reported at once, and the
+part's degrees are compared with its plan entry after its last edge.  The
+final graph is built once from that map without a second validation.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import islice
+from operator import index, lt
 from typing import Iterable, Iterator, Sequence
 
 from .edge_types import EdgeType, TypedDegreeTable, build_table
@@ -73,12 +75,12 @@ def havel_hakimi(degrees: Iterable[int]) -> list[tuple[int, int]]:
     Greedy: repeatedly pick the vertex with the largest residual degree
     (lowest index on ties) and connect all its remaining stubs to the
     vertices with the next-largest residuals (again lowest index on ties).
-    A negative degree raises ValueError; a sequence that is not graphical
-    leaves the greedy stuck, which raises InternalInfeasible.  A heap keyed
-    by (-residual, index) holds the vertices with a positive residual, so s
-    such vertices and m edges cost O((s + m) log s).
+    A non-int degree raises TypeError, a negative one ValueError; a sequence
+    that is not graphical leaves the greedy stuck (InternalInfeasible).  A
+    heap keyed by (-residual, index) holds the vertices with a positive
+    residual, so s such vertices and m edges cost O((s + m) log s).
     """
-    degrees = [int(d) for d in degrees]
+    degrees = list(map(index, degrees))
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be non-negative")
     heap = [(-d, i) for i, d in enumerate(degrees) if d > 0]
@@ -98,13 +100,13 @@ def kleitman_wang(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     trees: each source, largest out-degree first, sends its arcs to the heads
     of largest residual in-degree, ties going to the lowest index.  Sources
     never receive arcs and heads never send any, so one static order and one
-    heap serve, at O((s + m) log s) for s vertices and m arcs.  A negative
-    degree raises ValueError; counts that are not realizable leave the greedy
-    stuck, which raises InternalInfeasible.
+    heap serve, at O((s + m) log s) for s vertices and m arcs.  A non-int
+    degree raises TypeError, a negative one ValueError; unrealizable counts
+    leave the greedy stuck, which raises InternalInfeasible.
     """
     pairs = list(pairs)  # read once, so an iterator serves as a list does
-    outs = [int(a) for a, _ in pairs]
-    ins = [int(b) for _, b in pairs]
+    outs = [index(a) for a, _ in pairs]
+    ins = [index(b) for _, b in pairs]
     if any(d < 0 for d in outs + ins):
         raise ValueError("degree pairs must be non-negative")
     if any(a and b for a, b in zip(outs, ins)):
@@ -132,23 +134,23 @@ def glue(table: TypedDegreeTable, parts: Iterable[Iterable[tuple[int, int]]]) ->
     pair, in the entry's local labels (part vertex j is its j-th vertex);
     arc directions are forgotten once the part is checked.  A wrong number
     of parts raises ValueError.  Parts realized from a checked table never
-    trip the other checks, so each indicates a bug: a vertex pair given
-    twice (by two parts, or twice within one) raises SimplicityViolation;
-    plan vertices that do not ascend within 0..n-1, an edge that is a loop
-    or leaves its entry's vertices, or a part whose (bi)degrees differ
-    from its entry's counts (a pair's (out, in) being its A member's count
-    and its inverse's) raise InternalInvariantError.  Each part costs time
-    linear in its entry and its edges, and the graph is built once from
-    the union without a second validation.
+    trip the other checks, so each indicates a bug.  Each part is read
+    once: plan vertices that do not ascend within 0..n-1, then, as it is
+    read, an edge that is a loop or leaves the entry's vertices raise
+    InternalInvariantError, and a vertex pair given before (by an earlier
+    part or earlier in this one) SimplicityViolation; after the last edge,
+    (bi)degrees that differ from the entry's counts (a pair's (out, in)
+    being its A member's count and its inverse's) raise
+    InternalInvariantError.  Each part costs time linear in its entry and
+    its edges, and the graph is built once without a second validation.
     """
     n = table.n
     owner: dict[tuple[int, int], EdgeType] = {}
     for (etype, (vertices, counts)), ends in zip(table.plan.items(), parts, strict=True):
         directed = etype.near != etype.far
         k = len(vertices)
-        if k and not (0 <= vertices[0] and vertices[-1] < n and sorted(set(vertices)) == list(vertices)):
+        if k and not (0 <= vertices[0] and vertices[-1] < n and all(map(lt, vertices, islice(vertices, 1, None)))):
             raise InternalInvariantError(f"plan vertices of type {_name(etype)} must ascend within 0..{n - 1}")
-        placed: list[tuple[int, int]] = []
         tails = [0] * k
         heads = [0] * k if directed else tails
         for u, v in ends:
@@ -159,16 +161,13 @@ def glue(table: TypedDegreeTable, parts: Iterable[Iterable[tuple[int, int]]]) ->
             tails[u] += 1
             heads[v] += 1
             a, b = vertices[u], vertices[v]
-            placed.append((a, b) if a < b else (b, a))  # ascending plan vertices keep a != b
-        if (tuple(zip(tails, heads)) if directed else tuple(tails)) != counts:
-            raise InternalInvariantError(f"part of type {_name(etype)} does not have the table's degrees")
-        for pair in placed:
+            pair = (a, b) if a < b else (b, a)  # ascending plan vertices keep a != b
             clash = owner.get(pair)
             if clash is not None:
-                raise SimplicityViolation(
-                    f"pair {pair} given by type {_name(clash)} and again by {_name(etype)}"
-                )
+                raise SimplicityViolation(f"pair {pair} given by type {_name(clash)} and again by {_name(etype)}")
             owner[pair] = etype
+        if (tuple(zip(tails, heads)) if directed else tuple(tails)) != counts:
+            raise InternalInvariantError(f"part of type {_name(etype)} does not have the table's degrees")
     return SimpleGraph._from_checked(n, owner)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import accumulate
+from operator import index
 from typing import NamedTuple, Sequence
 
 from .edge_types import EdgeType, TypedDegreeTable
@@ -86,8 +87,9 @@ def erdos_gallai(degrees: Sequence[int]) -> tuple[bool, int | None]:
     Returns (True, None) when it is; otherwise (False, k) where k is the
     smallest 1-based index (over the non-increasing reordering) of a violated
     subsum inequality, or k = 0 for an odd sum or an entry exceeding n - 1.
+    A non-int degree (by :func:`operator.index`) raises TypeError.
     """
-    seq = list(degrees)
+    seq = list(map(index, degrees))
     if seq and min(seq) < 0:
         raise ValueError("degrees must be non-negative")
     if sum(seq) % 2 == 1:

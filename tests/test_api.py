@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import ast
 import copy
-import os
 import pickle
 import re
-import subprocess
-import sys
 from importlib import import_module
 from pathlib import Path
 
 import pytest
 
+import child
 import unicover
 from unicover import (
     Disagreement,
@@ -108,13 +106,8 @@ def test_readme_library_example_runs_in_dev_mode(tmp_path):
     # The path.trees that README's command-line example writes.
     (tmp_path / "path.trees").write_text("((()))\n(()(()))\n(()(()))\n((()))\n", encoding="utf-8")
     example = _library_section().split("```python\n", 1)[1].split("```", 1)[0]
-    path = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", example],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
+    code, _, err = child.run("-X", "dev", "-W", "error::ResourceWarning", "-c", example, cwd=tmp_path, text=True)
+    assert (code, err) == (0, "")
 
 
 def test_readme_library_helpers_exist():

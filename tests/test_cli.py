@@ -6,15 +6,13 @@ import io
 import json
 import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from unicover import cli, graphs, oracle, trees
 from unicover.cli import main
 from unicover.trees import Forest
+import child
 from treegen import cycle_graph, gnm, random_graph
 
 import unicover
@@ -457,34 +455,24 @@ def test_failed_file_write_exits_2(tmp_path, capsys):
         assert err == f"error: cannot write {target}: No such file or directory\n", argv
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLI = "import sys; from unicover.cli import main; sys.exit(main())"
 
 
-def cli_process(work, hash_seed, *argv, stdout=subprocess.PIPE, cap=None):
-    """The CLI started as its own process in `work` under a fixed PYTHONHASHSEED.
+def cli_process(work, hash_seed, *argv, **popen):
+    """The CLI started by `child.launch` (which takes `cap`) in `work` under a fixed PYTHONHASHSEED.
 
-    With `cap`, the process first limits its own address space (RLIMIT_AS) to `cap` bytes.
+    stdout is buffered, as Python sets it up by default.
     """
-    path = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=os.pathsep.join(path))
-    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as Python sets it up by default
-    entry = "import sys; from unicover.cli import main; sys.exit(main())"
-    if cap is not None:
-        entry = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); {entry}"
-    return subprocess.Popen(
-        [sys.executable, "-c", entry, *argv], cwd=work, env=env, stdout=stdout, stderr=subprocess.PIPE
-    )
+    return child.launch("-c", CLI, *argv, cwd=work, env=cli_env(hash_seed), **popen)
 
 
-def run_process(work, hash_seed, *argv, stdout=subprocess.PIPE, cap=None):
-    """Run the CLI as its own process; its exit code, stdout and stderr."""
-    with cli_process(work, hash_seed, *argv, stdout=stdout, cap=cap) as proc:
-        try:
-            out, err = proc.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            raise
-    return proc.returncode, out, err
+def run_process(work, hash_seed, *argv, **popen):
+    """Run the CLI as its own process, as `cli_process` starts it; its exit code, stdout and stderr."""
+    return child.run("-c", CLI, *argv, cwd=work, env=cli_env(hash_seed), **popen)
+
+
+def cli_env(hash_seed):
+    return {"PYTHONHASHSEED": str(hash_seed), "PYTHONUNBUFFERED": None}
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):

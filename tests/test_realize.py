@@ -50,6 +50,21 @@ def test_havel_hakimi_examples():
     assert any(h.degree_sequence() == g.degree_sequence() for h in enumerate_graphs(6))
 
 
+def test_degrees_must_be_integers_in_every_sequence_function():
+    for bad in (1.5, 2.0, "1"):
+        with pytest.raises(TypeError):
+            erdos_gallai([bad, bad])
+        with pytest.raises(TypeError):
+            havel_hakimi([bad, bad])
+        with pytest.raises(TypeError):
+            kleitman_wang([(bad, 0), (0, bad)])
+        with pytest.raises(TypeError):
+            kleitman_wang([(1, 0), (0, bad)])
+    assert erdos_gallai([True, True]) == erdos_gallai([1, 1]) == (True, None)
+    assert havel_hakimi([True, 1]) == havel_hakimi([1, 1]) == [(0, 1)]
+    assert kleitman_wang([(True, False), (0, 1)]) == kleitman_wang([(1, 0), (0, 1)]) == [(0, 1)]
+
+
 def test_havel_hakimi_exact_on_every_graphical_sequence_up_to_six():
     # SimpleGraph refuses a loop, a repeated edge or an end out of range.
     for n in range(7):
@@ -167,6 +182,13 @@ def test_glue_detects_opposite_arcs_in_one_part():
 def test_glue_detects_an_edge_given_twice_in_one_part():
     # Both ends get degree 2, as the entry asks, from one edge.
     table = _table(2, {DIAG: ((0, 1), (2, 2))})
+    with pytest.raises(SimplicityViolation, match="again"):
+        glue(table, [[(0, 1), (1, 0)]])
+
+
+def test_glue_reports_a_repeat_as_it_reads_it_before_the_degrees():
+    # Both the repeat and the degrees (2, 2) for (1, 1) are wrong; the repeat is read first.
+    table = _table(2, {DIAG: ((0, 1), (1, 1))})
     with pytest.raises(SimplicityViolation, match="again"):
         glue(table, [[(0, 1), (1, 0)]])
 

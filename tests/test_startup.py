@@ -11,17 +11,13 @@ because this test process has long since imported everything.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from importlib import import_module
-from pathlib import Path
 
 import pytest
 
+import child
 import unicover
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 # Runs one CLI command, then reports on stderr's last line what it loaded.
 PROBE = (
     "import json, sys\n"
@@ -34,12 +30,7 @@ HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def python(work, code: str, *argv: str) -> tuple[int, str, str]:
-    path = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], cwd=work, env=env, capture_output=True, text=True, timeout=120
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    return child.run("-c", code, *argv, cwd=work, text=True)
 
 
 def loaded_by(work, *argv: str) -> set[str]:

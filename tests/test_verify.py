@@ -12,14 +12,11 @@ both must give the same exit code, stdout and stderr on every input.
 from __future__ import annotations
 
 import io
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+import child
 import unicover
 from reference import verify_by_parsing
 from treegen import random_graph
@@ -164,9 +161,6 @@ def test_unfolding_stops_once_the_balls_stop_growing(n, tmp_path, capsys, monkey
     assert len(calls) < 100
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
 def branching_balls(tmp_path) -> tuple[str, list[str]]:
     """The graph file of a graph whose balls grow exponentially with the radius, and its depth-2 balls."""
     graph = random_graph(random.Random(5), 9, 0.35)
@@ -175,22 +169,10 @@ def branching_balls(tmp_path) -> tuple[str, list[str]]:
 
 
 def capped_verify(*argv: str) -> tuple[int, str, str]:
-    """`unicover verify *argv` in a child that caps its own address space at 800 MB."""
+    """`unicover verify *argv` in a child whose address space is capped at 800 MB."""
     pytest.importorskip("resource")
-    cap = 800 * 2**20
-    entry = (
-        "import resource, sys\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
-        "from unicover.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    path = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-c", entry, "verify", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    entry = "import sys; from unicover.cli import main; sys.exit(main(sys.argv[1:]))"
+    return child.run("-c", entry, "verify", *argv, cap=800 * 2**20, text=True)
 
 
 def test_a_huge_depth_on_a_branching_graph_still_reports_the_bad_line(tmp_path):

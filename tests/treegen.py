@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from unicover import RootedTree, SimpleGraph, canonical_code, neighborhood_collection
+from unicover import RootedTree, SimpleGraph, neighborhood_collection
+from unicover.trees import Forest
 
 
 def random_tree(rng: random.Random, max_nodes: int = 40) -> RootedTree:
@@ -155,27 +156,39 @@ def cubic_minus(rng: random.Random, n: int, deleted: int) -> list[tuple[int, int
     return edges
 
 
-def swapped_balls(rng: random.Random, n: int) -> list[RootedTree] | None:
-    """The depth-2 balls of a G(n, m) graph, two roots of equal degree having swapped one child.
+def swapped_balls(rng: random.Random, n: int, depth: int = 2) -> list[RootedTree] | None:
+    """The depth-`depth` balls of a G(n, m) graph, two roots having swapped one child each.
 
-    m is drawn from n..2n.  Every inverse pair stays balanced and every
-    diagonal sum stays even, so a collection that fails the check fails only
-    a subsum inequality.  None when no two roots of equal degree have
-    children that differ.
+    m is drawn from n..2n.  The two roots agree to depth - 1 (at depth 2: they
+    have equal degrees), and the children swapped differ but agree to
+    depth - 2.  So every other edge at either root keeps its near side, which
+    holds the swapped child only cut to depth - 2, and the swapped edges
+    trade their types: the multiset of edge types is unchanged.  Every
+    inverse pair stays balanced and every diagonal sum stays even, so a
+    collection that fails the check fails only a subsum inequality.  None
+    when no two roots have such children.  `depth` is at least 2.
     """
-    balls = neighborhood_collection(SimpleGraph(n, gnm(rng, n, rng.randrange(n, 2 * n + 1))), 2)
-    kids = [[canonical_code(c) for c in ball.children] for ball in balls]
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if len(kids[i]) == len(kids[j]) and len(set(kids[i] + kids[j])) > 1
-    ]
+    balls = neighborhood_collection(SimpleGraph(n, gnm(rng, n, rng.randrange(n, 2 * n + 1))), depth)
+    forest = Forest()
+    kids = [list(forest.intern(ball.children)) for ball in balls]
+    cuts = [[forest.truncate(c, depth - 2) for c in row] for row in kids]
+    stems = [forest.truncate(forest.node(row), depth - 1) for row in kids]
+
+    def swaps(i: int, j: int) -> list[tuple[int, int]]:
+        return [
+            (x, y)
+            for x, (kid, cut) in enumerate(zip(kids[i], cuts[i]))
+            for y, (other, other_cut) in enumerate(zip(kids[j], cuts[j]))
+            if kid != other and cut == other_cut
+        ]
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if stems[i] == stems[j] and swaps(i, j)]
     if not pairs:
         return None
     i, j = rng.choice(pairs)
-    x = rng.choice([x for x, code in enumerate(kids[i]) if set(kids[j]) - {code}])
-    y = rng.choice([y for y, code in enumerate(kids[j]) if code != kids[i][x]])
+    options = swaps(i, j)
+    x = rng.choice(sorted({x for x, _ in options}))
+    y = rng.choice([y for chosen, y in options if chosen == x])
     a, b = list(balls[i].children), list(balls[j].children)
     a[x], b[y] = b[y], a[x]
     balls[i], balls[j] = RootedTree(tuple(a)), RootedTree(tuple(b))
