@@ -4,23 +4,22 @@ Cutting a root edge of a depth-bounded tree leaves two pieces.  The edge's
 type records both, as canonical codes: the subtree hanging below the edge,
 kept at its natural depth, and the component containing the root, truncated
 one level shallower than the tree bound.  The pair is directional; swapping
-the two codes gives the type the same edge would have when seen from its far
-endpoint.
+the two codes gives the same edge's type as seen from its far endpoint.
 
 Both pieces are computed on interned ids of a :class:`~unicover.trees.Forest`
 (far = the child's id, near = the node over the other children's truncated
-ids).  The table's one store is its plan: one entry per unit that the
-check tests and the realizer builds, a diagonal type or an inverse pair.
-Each distinct tree's root edges are counted straight into their units, and
-an entry lists only the vertices where its unit occurs, so a unit costs
-time and memory in proportion to its support, never to the number n of
-trees.  Supports by type and dense length-n vectors are views of the plan,
-built on request.
+ids).  The table's one store is its plan: one entry per unit that the check
+tests and the realizer builds, a diagonal type or an inverse pair.  Each
+distinct tree's root edges are counted straight into their units, and an entry
+lists only the vertices where its unit occurs, so a unit costs time and memory
+in proportion to its support, never to the number n of trees.  Supports by type
+and dense length-n vectors are views of the plan, built on request.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DepthError
@@ -162,27 +161,26 @@ class TypedDegreeTable(FrozenSlots):
 def build_table(trees: Sequence[RootedTree], depth: int) -> TypedDegreeTable:
     """Count the root-incident edges of every type across the collection.
 
-    Raises DepthError (listing the offending indices) if any tree is deeper
-    than `depth`; requires `depth` >= 1.  The trees are interned into one
-    :class:`Forest` and tabulated by :func:`table_from_ids`.
+    `depth` is read by `operator.index` (TypeError for a non-integer), must be
+    >= 1, and bounds every tree: DepthError lists the indices of deeper ones.
+    The trees are interned into one :class:`Forest` and tabulated by :func:`table_from_ids`.
     """
+    depth = index(depth)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     forest = Forest()
-    return table_from_ids(forest, list(forest.intern(trees)), depth)
+    roots = list(forest.intern(trees))
+    too_deep = tuple(i for i, t in enumerate(roots) if forest.depths[t] > depth)
+    if too_deep:
+        raise DepthError(f"trees deeper than {depth} at indices {list(too_deep)}", indices=too_deep)
+    return table_from_ids(forest, roots, depth)
 
 
 def table_from_ids(forest: Forest, roots: Sequence[int], depth: int) -> TypedDegreeTable:
-    """:func:`build_table` for the trees with ids `roots` in `forest`.
+    """:func:`build_table` for checked root ids in `forest`: `depth` >= 1, and no tree deeper.
 
-    Costs O(n + root edges + units log units): each unit's entry is built
-    from its own edges, never as a length-`n` vector.
+    Costs O(n + root edges + units log units), no unit's entry being built as a length-`n` vector.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    too_deep = tuple(i for i, t in enumerate(roots) if forest.depths[t] > depth)
-    if too_deep:
-        raise DepthError(
-            f"trees deeper than {depth} at indices {list(too_deep)}", indices=too_deep
-        )
     keys = forest.keys
     # Per distinct root, each of its units' vertex and count lists and its count there.
     units_of: dict[int, list[tuple[list[int], list, object]]] = {}

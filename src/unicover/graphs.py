@@ -6,6 +6,7 @@ line per edge with u < v; blank lines and '#' comments are allowed anywhere.
 
 from __future__ import annotations
 
+from operator import index
 from typing import IO, Iterable
 
 from .errors import GraphFormatError
@@ -45,11 +46,12 @@ class SimpleGraph(FrozenSlots):
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        n = index(n)
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
-            _add_edge(seen, n, u, v)
+            _add_edge(seen, n, index(u), index(v))
         self._index(n, seen)
 
     @classmethod

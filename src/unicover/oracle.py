@@ -46,7 +46,7 @@ def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
         raise SizeError(f"graph enumeration supports 0 <= n <= {MAX_GRAPH_VERTICES}, got {n}")
     slots = list(combinations(range(n), 2))
     for mask in range(1 << len(slots)):
-        yield SimpleGraph(n, (e for i, e in enumerate(slots) if mask >> i & 1))
+        yield SimpleGraph._from_checked(n, (e for i, e in enumerate(slots) if mask >> i & 1))
 
 
 def exists_realization_bruteforce(trees: Sequence[RootedTree], depth: int) -> SimpleGraph | None:

@@ -21,6 +21,7 @@ its first fault and that fault's position.
 
 from __future__ import annotations
 
+from operator import index
 from typing import IO, Container, Iterable, Iterator
 
 from .errors import ParseError
@@ -269,7 +270,8 @@ class Forest:
             yield memo[id(tree)]
 
     def truncate(self, tid: int, k: int) -> int:
-        """Id of the subtree of all nodes at depth <= k; memoized per (id, k)."""
+        """Id of the subtree of all nodes at depth <= k (read as an integer); memoized per (id, k)."""
+        k = index(k)
         if k < 0:
             raise ValueError("truncation depth must be >= 0")
         if self.depths[tid] <= k:
@@ -353,7 +355,7 @@ def depth(tree: RootedTree) -> int:
 
 
 def truncate(tree: RootedTree, k: int) -> RootedTree:
-    """Subtree of all nodes at depth <= k, in canonical child order."""
+    """Subtree of all nodes at depth <= k, in canonical child order; TypeError if `k` is not an integer."""
     forest, tid = _interned(tree)
     return forest.tree(forest.truncate(tid, k))
 

@@ -22,7 +22,7 @@ from unicover import (
 from unicover.edge_types import table_from_ids
 from unicover.trees import Forest, depth, iter_collection
 import reference
-from treegen import cycle_graph, random_graph, random_tree, shuffle_tree
+from treegen import cycle_graph, path_graph, random_graph, random_tree, shuffle_tree
 
 
 def _total(table, etype):
@@ -191,6 +191,15 @@ def test_build_table_rejects_deep_trees_listing_indices():
 def test_build_table_requires_positive_depth():
     with pytest.raises(ValueError):
         build_table([parse_tree("()")], 0)
+
+
+def test_build_table_reads_the_depth_as_an_integer():
+    balls = neighborhood_collection(path_graph(4), 2)
+    with pytest.raises(TypeError):
+        build_table(balls, 2.5)
+    with pytest.raises(TypeError):
+        build_table(balls, "2")
+    assert build_table([parse_tree("(())")] * 2, True).to_json_dict()["h"] == 1
 
 
 def test_row_sums_match_degree_sequence():

@@ -21,6 +21,27 @@ def test_simple_graph_rejects_bad_edges(edges):
         SimpleGraph(3, edges)
 
 
+def test_simple_graph_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="vertex count must be >= 0"):
+        SimpleGraph(-1)
+
+
+def test_simple_graph_reads_its_labels_as_integers():
+    for graph, text in ((SimpleGraph(True, []), "n=1\n"), (SimpleGraph(2, [(True, 0)]), "n=2\n0 1\n")):
+        buf = io.StringIO()
+        write_graph(graph, buf)
+        assert buf.getvalue() == text
+        assert read_graph(buf.getvalue().splitlines()) == graph
+        assert type(graph.n) is int and all(type(v) is int for ws in graph.adj for v in ws)
+    for n, edges in ((2.0, []), (2, [(0.0, 1.0)]), (2, [(0, 1.0)])):
+        with pytest.raises(TypeError):
+            SimpleGraph(n, edges)
+
+
+def test_simple_graph_repr_lists_its_edges():
+    assert repr(SimpleGraph(3, [(2, 0)])) == "SimpleGraph(n=3, edges=[(0, 2)])"
+
+
 def test_simple_graph_equality_and_hash():
     a = SimpleGraph(3, [(0, 1)])
     b = SimpleGraph(3, [(1, 0)])

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import unicover.oracle
 from unicover import (
+    InternalInfeasible,
     SimpleGraph,
     SizeError,
     canonical_code,
@@ -150,6 +152,28 @@ def test_cross_validate_is_deterministic():
 def test_cross_validate_counts_positives_and_mutants():
     report = cross_validate(3, 1, mutants_per_case=2, seed=0)
     assert report.cases_total == 8 + 8 * 2
+
+
+def test_judge_reports_a_realizer_that_raises(monkeypatch):
+    def refuse(table):
+        raise InternalInfeasible("refused")
+
+    monkeypatch.setattr(unicover.oracle, "realize_table", refuse)
+    report = cross_validate(2, 1, mutants_per_case=0, seed=0)
+    assert report.agreements == 0
+    assert [d.to_json_dict() for d in report.disagreements] == [
+        {"collection": [code] * 2, "checker": True, "oracle": True, "detail": "realize raised InternalInfeasible: refused"}
+        for code in ("()", "(())")
+    ]
+
+
+def test_judge_reports_a_realization_that_does_not_verify(monkeypatch):
+    monkeypatch.setattr(unicover.oracle, "realize_table", lambda table: SimpleGraph(table.n))
+    report = cross_validate(2, 1, mutants_per_case=0, seed=0)
+    [bad] = report.disagreements
+    assert bad.collection == ("(())", "(())")
+    assert bad.detail == "realization failed per-index verification"
+    assert report.to_json_dict()["disagreements"] == [bad.to_json_dict()]
 
 
 def test_report_json_shape():

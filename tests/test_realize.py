@@ -92,6 +92,11 @@ def test_kleitman_wang_examples():
     assert arcs == [(1, 0), (1, 2), (3, 0), (5, 4)]
 
 
+def test_kleitman_wang_names_in_stubs_left_over():
+    with pytest.raises(InternalInfeasible, match="in-stubs left over after all out-stubs were placed"):
+        kleitman_wang([(1, 0), (0, 2)])
+
+
 def test_realizers_read_an_iterator_or_a_generator_as_they_read_the_list():
     degrees, pairs = [3, 3, 2, 2, 1, 1], [(1, 0), (0, 1), (2, 0), (0, 2)]
     for realize, counts in ((havel_hakimi, degrees), (kleitman_wang, pairs)):
@@ -243,6 +248,13 @@ def test_realize_rejects_unbalanced_pair():
     with pytest.raises(NotGraphical) as err:
         realize_neighborhood([parse_tree("(())"), parse_tree("((()))")], 2)
     assert not err.value.verdict.graphical
+
+
+def test_realize_reads_the_depth_as_an_integer():
+    trees = neighborhood_collection(path_graph(4), 2)
+    assert realize_neighborhood(trees, 2) == path_graph(4)
+    with pytest.raises(TypeError):
+        realize_neighborhood(trees, 2.5)
 
 
 def test_realize_path_uses_skew_types():

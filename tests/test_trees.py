@@ -126,6 +126,15 @@ def test_truncate_negative_rejected():
         truncate(RootedTree(), -1)
 
 
+def test_truncate_reads_the_depth_as_an_integer():
+    t = parse_tree("((()))")
+    with pytest.raises(TypeError):
+        truncate(t, 1.5)
+    with pytest.raises(TypeError):
+        Forest().truncate(0, 1.0)
+    assert canonical_code(truncate(t, True)) == "(())"
+
+
 def test_canonical_code_examples():
     assert canonical_code(parse_tree("(()())")) == "(()())"
     assert canonical_code(RootedTree((parse_tree("(())"), RootedTree()))) == "(()(()))"

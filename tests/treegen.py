@@ -121,7 +121,12 @@ def hub_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
 
 
 def gnm(rng: random.Random, n: int, m: int) -> list[tuple[int, int]]:
-    """Uniform simple graph with n vertices and m edges, as a sorted edge list; O(m) expected."""
+    """Uniform simple graph with n vertices and m edges, as a sorted edge list; O(m) expected.
+
+    ValueError if m exceeds the n(n - 1)/2 pairs there are.
+    """
+    if m > n * (n - 1) // 2:
+        raise ValueError(f"{m} edges do not fit on {n} vertices")
     edges: set[tuple[int, int]] = set()
     while len(edges) < m:
         u, v = rng.randrange(n), rng.randrange(n)
@@ -159,16 +164,17 @@ def cubic_minus(rng: random.Random, n: int, deleted: int) -> list[tuple[int, int
 def swapped_balls(rng: random.Random, n: int, depth: int = 2) -> list[RootedTree] | None:
     """The depth-`depth` balls of a G(n, m) graph, two roots having swapped one child each.
 
-    m is drawn from n..2n.  The two roots agree to depth - 1 (at depth 2: they
-    have equal degrees), and the children swapped differ but agree to
-    depth - 2.  So every other edge at either root keeps its near side, which
-    holds the swapped child only cut to depth - 2, and the swapped edges
-    trade their types: the multiset of edge types is unchanged.  Every
-    inverse pair stays balanced and every diagonal sum stays even, so a
-    collection that fails the check fails only a subsum inequality.  None
-    when no two roots have such children.  `depth` is at least 2.
+    m is drawn from n..2n and capped at n(n - 1)/2.  The two roots agree to
+    depth - 1 (at depth 2: they have equal degrees), and the children swapped
+    differ but agree to depth - 2.  So every other edge at either root keeps
+    its near side, which holds the swapped child only cut to depth - 2, and
+    the swapped edges trade their types: the multiset of edge types is
+    unchanged.  Every inverse pair stays balanced and every diagonal sum stays
+    even, so a collection that fails the check fails only a subsum inequality.
+    None when no two roots have such children.  `depth` is at least 2.
     """
-    balls = neighborhood_collection(SimpleGraph(n, gnm(rng, n, rng.randrange(n, 2 * n + 1))), depth)
+    m = min(rng.randrange(n, 2 * n + 1), n * (n - 1) // 2)
+    balls = neighborhood_collection(SimpleGraph(n, gnm(rng, n, m)), depth)
     forest = Forest()
     kids = [list(forest.intern(ball.children)) for ball in balls]
     cuts = [[forest.truncate(c, depth - 2) for c in row] for row in kids]
