@@ -5,23 +5,25 @@ graphical / mismatch / failed selftest), 2 input error, failed write or a
 stdin or stdout closed at start-up, 3 internal error that should be reported
 as a bug.  Results, `--help` text included, go to stdout or `-o FILE`
 through `_write`, diagnostics to stderr through `_say`, which drops one that
-stderr cannot take, so the exit code never depends on stderr.  A command
-parses its tree collection once, into one Forest, and works on the root ids
-from then on.  `verify` counts the tree lines before it unfolds anything,
-and unfolds only when the count matches.  With `--depth H` (H >= 1) it then
-unfolds the balls into that Forest and loads the trees: a line that spells
-the canonical code of a ball or of one of its subtrees is looked up, and
-only the other lines are parsed.  It unfolds no deeper than the longest
-tree line can spell: a line of L characters holds no tree of depth L // 2,
-so a ball still growing at that radius matches no line, and one that has
-stopped is the same at radius H.
+stderr cannot take, so the exit code never depends on stderr.  Both flush
+what they wrote, so a command process (`main()` with no arguments) ends
+without interpreter teardown once its results and diagnostics are out,
+while `main(argv)` returns its exit code and leaves the interpreter as it
+was.  A command parses its tree collection once, into one Forest, and works
+on the root ids from then on.  `verify` counts the tree lines before it
+unfolds anything, and unfolds only when the count matches.  With `--depth H`
+(H >= 1) it then unfolds the balls into that Forest and loads the trees: a
+line that spells the canonical code of a ball or of one of its subtrees is
+looked up, and only the other lines are parsed.  It unfolds no deeper than
+the longest tree line can spell: a line of L characters holds no tree of
+depth L // 2, so a ball still growing at that radius matches no line, and
+one that has stopped is the same at radius H.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from typing import IO, Callable, Iterable, Sequence
@@ -58,7 +60,8 @@ def _std(stream: IO[str] | None) -> IO[str]:
 def _mute(stream: IO[str] | None, original: IO[str] | None) -> None:
     """Point the descriptor of a standard stream Python opened at the null device after a failed write.
 
-    Python flushes the stream again at exit, where the bytes still buffered would fail twice.
+    Python flushes the stream again at exit after argparse's own exits and in a caller of
+    `main(argv)`, where the bytes still buffered would fail twice.
     """
     if stream is not None and stream is original:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
@@ -89,11 +92,18 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _write(path: str, emit: Callable[[IO[str]], object]) -> None:
-    """Hand file `path`, or stdout for '-', to `emit`; a failed write is bad input (exit 2)."""
+    """Hand file `path`, or stdout for '-', to `emit`; a failed write is bad input (exit 2).
+
+    Stdout is flushed however `emit` ends, so the output of a command that fails
+    midway is out before its process ends without a flush at exit.
+    """
     try:
         if path == "-":
-            emit(_std(sys.stdout))
-            sys.stdout.flush()
+            stdout = _std(sys.stdout)
+            try:
+                emit(stdout)
+            finally:
+                stdout.flush()
         else:
             with open(path, "w", encoding="utf-8") as handle:
                 emit(handle)
@@ -135,6 +145,9 @@ def _emit_verdict(out: IO[str], verdict: Verdict, depth: int, table: TypedDegree
     The payload is dumped with empty lists, and each failure and each type is
     dumped on its own into its list, so the whole text is never built.
     """
+    # json is imported where a verdict is written, so no other result loads it.
+    import json
+
     payload = {"graphical": verdict.graphical, "h": depth, "failures": []}
     lists = [(f.to_json_dict() for f in verdict.failures)]
     if table is not None:
@@ -215,7 +228,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    # The brute-force oracle is imported here, so no other command loads it.
+    # The brute-force oracle and json are imported here, so no other command loads them.
+    import json
+
     from .oracle import MAX_GRAPH_VERTICES, cross_validate
 
     # Smaller values would run no case at all and pass vacuously.
@@ -291,18 +306,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command that `argv` (by default `sys.argv[1:]`) names; its exit code.
+
+    With no `argv`, as the `unicover` script calls it, the process ends with that
+    code once `_write` and `_say` have flushed the results and diagnostics, without
+    interpreter teardown.  `main(argv)` returns the code and leaves the interpreter
+    as it was.  argparse's own exits (`--help`, a usage error) raise `SystemExit`.
+    """
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
     except InternalInvariantError as exc:
         _say(f"internal error (please report): {exc}")
-        return 3
+        code = 3
     except UnicoverError as exc:
         _say(f"error: {exc}")
-        return 2
+        code = 2
     except Exception as exc:  # anything else is a bug, never a verdict
         _say(f"internal error (please report): {type(exc).__name__}: {exc}")
-        return 3
+        code = 3
+    if argv is None:
+        os._exit(code)
+    return code
 
 
 if __name__ == "__main__":

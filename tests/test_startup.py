@@ -3,7 +3,9 @@
 Importing `dataclasses` drags in `inspect`, `ast`, `dis` and `tokenize`, so
 no command, `selftest` included, loads any of them: the result records are
 named tuples.  The brute-force oracle is only for `selftest`, so no other
-command loads it.  The package resolves its exports lazily, so `import
+command loads it, and `json` only for a command that writes a verdict or a
+`selftest` report: `neighborhoods`, `verify` and a graphical `realize` never
+load it.  The package resolves its exports lazily, so `import
 unicover` alone loads no submodule.  Each probe runs in a fresh interpreter,
 because this test process has long since imported everything.
 """
@@ -18,12 +20,14 @@ import pytest
 import child
 import unicover
 
-# Runs one CLI command, then reports on stderr's last line what it loaded.
+# Runs one CLI command, then reports on stderr's last line what it loaded, recorded before the report imports json.
 PROBE = (
-    "import json, sys\n"
+    "import sys\n"
     "from unicover.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "sys.stderr.write('\\n' + json.dumps(sorted(sys.modules)))\n"
+    "loaded = sorted(sys.modules)\n"
+    "import json\n"
+    "sys.stderr.write('\\n' + json.dumps(loaded))\n"
     "sys.exit(code)\n"
 )
 HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
@@ -42,19 +46,21 @@ def loaded_by(work, *argv: str) -> set[str]:
 def test_commands_other_than_selftest_load_no_dataclasses_and_no_oracle(tmp_path):
     (tmp_path / "g.txt").write_text("n=4\n0 1\n1 2\n2 3\n0 3\n", encoding="utf-8")
     (tmp_path / "t.txt").write_text("((())(()))\n" * 4, encoding="utf-8")
-    for argv in (
-        ["check", "t.txt"],
-        ["check", "t.txt", "--explain"],
-        ["realize", "t.txt", "--verify", "-o", "out.txt"],
-        ["neighborhoods", "g.txt", "--depth", "2"],
-        ["verify", "g.txt", "t.txt"],
+    for argv, verdict in (
+        (["check", "t.txt"], True),
+        (["check", "t.txt", "--explain"], True),
+        (["realize", "t.txt", "--verify", "-o", "out.txt"], False),
+        (["neighborhoods", "g.txt", "--depth", "2"], False),
+        (["verify", "g.txt", "t.txt"], False),
     ):
-        assert loaded_by(tmp_path, *argv) & (HEAVY | {"unicover.oracle"}) == set(), argv
+        loaded = loaded_by(tmp_path, *argv)
+        assert loaded & (HEAVY | {"unicover.oracle"}) == set(), argv
+        assert ("json" in loaded) == verdict, argv
 
 
 def test_selftest_still_loads_the_oracle(tmp_path):
     loaded = loaded_by(tmp_path, "selftest", "--max-n", "2", "--depth", "1")
-    assert "unicover.oracle" in loaded and loaded & HEAVY == set()
+    assert {"unicover.oracle", "json"} <= loaded and loaded & HEAVY == set()
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):
