@@ -9,15 +9,18 @@ stderr cannot take, so the exit code never depends on stderr.  Both flush
 what they wrote, so a command process (`main()` with no arguments) ends
 without interpreter teardown once its results and diagnostics are out,
 while `main(argv)` returns its exit code and leaves the interpreter as it
-was.  A command parses its tree collection once, into one Forest, and works
-on the root ids from then on.  `verify` counts the tree lines before it
-unfolds anything, and unfolds only when the count matches.  With `--depth H`
-(H >= 1) it then unfolds the balls into that Forest and loads the trees: a
-line that spells the canonical code of a ball or of one of its subtrees is
-looked up, and only the other lines are parsed.  It unfolds no deeper than
-the longest tree line can spell: a line of L characters holds no tree of
-depth L // 2, so a ball still growing at that radius matches no line, and
-one that has stopped is the same at radius H.
+was.  A verdict is written from its fixed schema, as
+`print(json.dumps(payload, indent=2))` writes it, one item at a time and
+without `json`, which only `selftest` loads.  A command parses its tree
+collection once, into one Forest, and works on the root ids from then on.
+`verify` counts the tree lines before it unfolds anything, and unfolds only
+when the count matches.  With `--depth H` (H >= 1) it then unfolds the balls
+into that Forest and loads the trees: a line that spells the canonical code
+of a ball or of one of its subtrees is looked up, and only the other lines
+are parsed.  It unfolds no deeper than the longest tree line can spell: a
+line of L characters holds no tree of depth L // 2, so a ball still growing
+at that radius matches no line, and one that has stopped is the same at
+radius H.
 """
 
 from __future__ import annotations
@@ -29,13 +32,7 @@ import sys
 from typing import IO, Callable, Iterable, Sequence
 
 from .edge_types import TypedDegreeTable, table_from_ids
-from .errors import (
-    DepthError,
-    InternalInvariantError,
-    NotGraphical,
-    SizeError,
-    UnicoverError,
-)
+from .errors import DepthError, InternalInvariantError, NotGraphical, SizeError, UnicoverError
 from .graphs import read_graph, to_dot, write_graph
 from .realize import realize_table
 from .sequences import Verdict, check_neighborhood
@@ -139,29 +136,37 @@ def _roots(lines: Iterable[str], override: int | None, forest: Forest) -> tuple[
     return roots, override
 
 
+# A failure and a type as `json.dumps(item, indent=2)` lays them out.  `_write_list` moves them to their indent.
+_FAILURE = '{\n  "type": {\n    "r": "%s",\n    "s": "%s"\n  },\n  "kind": "%s",\n  "k": %s\n}'
+_TYPE = '{\n  "r": "%s",\n  "s": "%s",\n  "class": "%s",\n  "N": %d,\n  "degrees": [\n    %s\n  ]\n}'
+
+
+def _write_list(out: IO[str], pad: str, template: str, rows: Iterable[tuple]) -> None:
+    """A JSON list of `template % row` for each row, its items at indent `pad`, written one item at a time."""
+    item, sep = template.replace("\n", "\n" + pad), "[\n" + pad
+    for row in rows:
+        out.write(sep + item % row)
+        sep = ",\n" + pad
+    out.write("[]" if sep[0] == "[" else "\n" + pad[:-2] + "]")
+
+
 def _emit_verdict(out: IO[str], verdict: Verdict, depth: int, table: TypedDegreeTable | None = None) -> None:
-    """The verdict, with `table` if given, as print(json.dumps(payload, indent=2)) writes it.
+    """The verdict, with `table` if given, as `print(json.dumps(payload, indent=2))` writes it, one item at a time.
 
-    The payload is dumped with empty lists, and each failure and each type is
-    dumped on its own into its list, so the whole text is never built.
+    Its schema is fixed and its strings are canonical codes and enum values, which need no escaping.
     """
-    # json is imported where a verdict is written, so no other result loads it.
-    import json
-
-    payload = {"graphical": verdict.graphical, "h": depth, "failures": []}
-    lists = [(f.to_json_dict() for f in verdict.failures)]
+    out.write('{\n  "graphical": %s,\n  "h": %d,\n  "failures": ' % ("true" if verdict.graphical else "false", depth))
+    failures = (f.to_json_dict() for f in verdict.failures)
+    rows = ((f["type"]["r"], f["type"]["s"], f["kind"], "null" if f["k"] is None else f["k"]) for f in failures)
+    _write_list(out, "    ", _FAILURE, rows)
     if table is not None:
-        payload["table"] = {"h": table.depth, "n": table.n, "types": []}
-        lists.append(table.json_types())
-    *heads, tail = json.dumps(payload, indent=2).split("[]")
-    for head, items, pad in zip(heads, lists, ("\n    ", "\n      ")):
-        out.write(head + "[")
-        sep = pad
-        for item in items:
-            out.write(sep + json.dumps(item, indent=2).replace("\n", pad))
-            sep = "," + pad
-        out.write("]" if sep == pad else pad[:-2] + "]")
-    out.write(tail + "\n")
+        out.write(',\n  "table": {\n    "h": %d,\n    "n": %d,\n    "types": ' % (table.depth, table.n))
+        types = table.json_types()
+        # The move puts "    %s" at indent 10, one degree per line; a type occurs somewhere, so it has degrees.
+        rows = ((t["r"], t["s"], t["class"], t["N"], ",\n          ".join(map(str, t["degrees"]))) for t in types)
+        _write_list(out, "      ", _TYPE, rows)
+        out.write("\n  }")
+    out.write("\n}\n")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -187,10 +192,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
         bad = first_difference(ball_ids(forest, graph, depth), roots)
         if bad is not None:
             raise InternalInvariantError(f"realized graph fails verification at vertex {bad}")
-    if args.format == "dot":
-        _write(args.output, lambda out: out.write(to_dot(graph)))
-    else:
-        _write(args.output, lambda out: write_graph(graph, out))
+    _write(args.output, lambda out: out.write(to_dot(graph)) if args.format == "dot" else write_graph(graph, out))
     return 0
 
 
@@ -238,10 +240,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         raise UnicoverError("--max-n and --mutants-per-case must be >= 0, --depth >= 1")
     if args.max_n > MAX_GRAPH_VERTICES:
         raise SizeError(f"--max-n must be <= {MAX_GRAPH_VERTICES}, the brute-force cap on graph size")
-    runs = []
-    for n in range(args.max_n + 1):
-        for depth in range(1, args.depth + 1):
-            runs.append(cross_validate(n, depth, args.mutants_per_case, args.seed))
+    cases = [(n, depth) for n in range(args.max_n + 1) for depth in range(1, args.depth + 1)]
+    runs = [cross_validate(n, depth, args.mutants_per_case, args.seed) for n, depth in cases]
     bad = sum(len(r.disagreements) for r in runs)
     payload = {
         "cases_total": sum(r.cases_total for r in runs),

@@ -505,6 +505,51 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert sorted(files) == ["balls.txt", "g.txt", "mutant.txt", "out.graph"]
 
 
+def dumped_verdict(balls, depth, explain):
+    """The verdict on `balls` at `depth`, and its table if `explain`, as `print(json.dumps(payload, indent=2))` does."""
+    table = unicover.build_table(balls, depth)
+    verdict = unicover.check_neighborhood(table)
+    payload = {"graphical": verdict.graphical, "h": depth, "failures": [f.to_json_dict() for f in verdict.failures]}
+    if explain:
+        payload["table"] = table.to_json_dict()
+    return json.dumps(payload, indent=2) + "\n"
+
+
+VERDICTS = {
+    # One vertex, one edge of a diagonal type: the support is one vertex, and k is null.
+    "odd-diagonal-sum": "(())\n",
+    "unbalanced-pair": "(())\n((()))\n",
+    "eg-violation": "(()()())\n(()()())\n(())\n(())\n",
+    "directed-eg-violation": "((()())(()()))\n((()())(()()))\n((()()))\n(()()(()))\n((())(())(()))\n((()()))\n",
+    "no-trees": "",
+    "no-failures": "((()))\n(()(()))\n(()(()))\n((()))\n",
+}
+
+
+def collection(text):
+    """The trees in `text` and the depth `check` reads them at: the deepest tree's, at least 1."""
+    balls = unicover.read_collection(text.splitlines())
+    return balls, max([1, *map(trees.depth, balls)])
+
+
+@pytest.mark.parametrize("explain", [False, True], ids=["plain", "explain"])
+@pytest.mark.parametrize("name", VERDICTS)
+def test_check_writes_the_verdict_as_json_dumps_does(tmp_path, capsys, name, explain):
+    want = dumped_verdict(*collection(VERDICTS[name]), explain)
+    path = write(tmp_path / "t.txt", VERDICTS[name])
+    code, out, err = run(capsys, "check", path, *(["--explain"] if explain else []))
+    assert (code, out, err) == (0 if json.loads(want)["graphical"] else 1, want, "")
+
+
+def test_the_verdicts_cover_every_failure_kind_a_null_k_and_empty_lists():
+    verdicts = [json.loads(dumped_verdict(*collection(text), True)) for text in VERDICTS.values()]
+    failures = [f for v in verdicts for f in v["failures"]]
+    assert {f["kind"] for f in failures} == {kind.value for kind in unicover.FailureKind}
+    assert None in [f["k"] for f in failures] and [] in [v["failures"] for v in verdicts]
+    assert {"h": 1, "n": 0, "types": []} in [v["table"] for v in verdicts]
+    assert [1] in [t["degrees"] for v in verdicts for t in v["table"]["types"]]
+
+
 def test_check_explain_streams_the_dense_table_under_a_memory_cap(tmp_path):
     # 18.8 MB of output; built whole, the payload needs about 145 MB and fails under the cap.
     pytest.importorskip("resource")
@@ -512,12 +557,8 @@ def test_check_explain_streams_the_dense_table_under_a_memory_cap(tmp_path):
     graph = unicover.SimpleGraph(n, gnm(random.Random(1), n, 2 * n))
     balls = unicover.neighborhood_collection(graph, 3)
     write(tmp_path / "t.txt", "".join(unicover.canonical_code(b) + "\n" for b in balls))
-    table = unicover.build_table(balls, 3)
-    verdict = unicover.check_neighborhood(table)
-    failures = [f.to_json_dict() for f in verdict.failures]
-    payload = {"graphical": verdict.graphical, "h": 3, "failures": failures, "table": table.to_json_dict()}
-    want = json.dumps(payload, indent=2) + "\n"
-    del balls, table, verdict, failures, payload
+    want = dumped_verdict(balls, 3, True)
+    del balls
     assert run_process(tmp_path, 0, "check", "--explain", "t.txt", cap=100 * 2**20) == (0, want.encode(), b"")
 
 

@@ -2,10 +2,9 @@
 
 Importing `dataclasses` drags in `inspect`, `ast`, `dis` and `tokenize`, so
 no command, `selftest` included, loads any of them: the result records are
-named tuples.  The brute-force oracle is only for `selftest`, so no other
-command loads it, and `json` only for a command that writes a verdict or a
-`selftest` report: `neighborhoods`, `verify` and a graphical `realize` never
-load it.  The package resolves its exports lazily, so `import
+named tuples.  The brute-force oracle and `json` are only for `selftest`, so
+no other command loads them: a verdict is written from its fixed schema,
+without `json`.  The package resolves its exports lazily, so `import
 unicover` alone loads no submodule.  Each probe runs in a fresh interpreter,
 because this test process has long since imported everything.
 """
@@ -37,25 +36,27 @@ def python(work, code: str, *argv: str) -> tuple[int, str, str]:
     return child.run("-c", code, *argv, cwd=work, text=True)
 
 
-def loaded_by(work, *argv: str) -> set[str]:
+def loaded_by(work, *argv: str, exit_code: int = 0) -> set[str]:
     code, _, err = python(work, PROBE, *argv)
-    assert code == 0, (argv, err)
+    assert code == exit_code, (argv, err)
     return set(json.loads(err.splitlines()[-1]))
 
 
 def test_commands_other_than_selftest_load_no_dataclasses_and_no_oracle(tmp_path):
     (tmp_path / "g.txt").write_text("n=4\n0 1\n1 2\n2 3\n0 3\n", encoding="utf-8")
     (tmp_path / "t.txt").write_text("((())(()))\n" * 4, encoding="utf-8")
-    for argv, verdict in (
-        (["check", "t.txt"], True),
-        (["check", "t.txt", "--explain"], True),
-        (["realize", "t.txt", "--verify", "-o", "out.txt"], False),
-        (["neighborhoods", "g.txt", "--depth", "2"], False),
-        (["verify", "g.txt", "t.txt"], False),
+    (tmp_path / "u.txt").write_text("(())\n((()))\n", encoding="utf-8")  # an unbalanced pair: a failure is written
+    for argv, exit_code in (
+        (["check", "t.txt"], 0),
+        (["check", "t.txt", "--explain"], 0),
+        (["check", "u.txt", "--explain"], 1),
+        (["realize", "u.txt"], 1),
+        (["realize", "t.txt", "--verify", "-o", "out.txt"], 0),
+        (["neighborhoods", "g.txt", "--depth", "2"], 0),
+        (["verify", "g.txt", "t.txt"], 0),
     ):
-        loaded = loaded_by(tmp_path, *argv)
-        assert loaded & (HEAVY | {"unicover.oracle"}) == set(), argv
-        assert ("json" in loaded) == verdict, argv
+        loaded = loaded_by(tmp_path, *argv, exit_code=exit_code)
+        assert loaded & (HEAVY | {"unicover.oracle", "json"}) == set(), argv
 
 
 def test_selftest_still_loads_the_oracle(tmp_path):

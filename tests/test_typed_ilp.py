@@ -16,17 +16,19 @@ own canonical form, `cut`.  Existence is then a 0/1 program, decided by
 It uses no subsum test, no realizer, no per-type decomposition and no
 truncation of the library's, so it certifies `check` on
 `treegen.swapped_balls`, whose every failure is a subsum inequality, at
-depths 2 and 3 and at sizes brute force cannot reach.
+sizes brute force cannot reach: on G(n, m) at depths 2 and 3, and at depths
+4 and 5, where G(n, m) yields no negative, on cubic graphs less a few edges.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from typing import Callable
 
 import pytest
 
-from treegen import swapped_balls
+from treegen import cubic_minus, swapped_balls
 from unicover import FailureKind, SimpleGraph, build_table, canonical_code, check_neighborhood, neighborhood_collection
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -106,11 +108,11 @@ def test_the_program_realizes_a_path_and_refuses_an_unbalanced_pair():
     assert realization(["(())", "((()))"]) is None
 
 
-def negatives_certified(rng: random.Random, depth: int, cases: int, largest: int) -> int:
-    """Put `cases` swapped collections at n = 8..`largest` to `check` and to the program; the negatives certified."""
+def negatives_certified(rng: random.Random, depth: int, cases: int, draw: Callable) -> int:
+    """Put `cases` swapped collections `draw(rng)` to `check` and to the program; the negatives certified."""
     negatives = 0
     while cases:
-        balls = swapped_balls(rng, rng.randint(8, largest), depth)
+        balls = draw(rng)
         if balls is None:
             continue
         cases -= 1
@@ -127,8 +129,17 @@ def negatives_certified(rng: random.Random, depth: int, cases: int, largest: int
 
 
 def test_the_program_agrees_with_check_on_swapped_balls_past_brute_force():
-    assert negatives_certified(random.Random(3), 2, 300, 40) >= 50
+    assert negatives_certified(random.Random(3), 2, 300, lambda rng: swapped_balls(rng, rng.randint(8, 40), 2)) >= 50
 
 
 def test_the_program_agrees_with_check_on_swapped_balls_at_depth_three():
-    assert negatives_certified(random.Random(3), 3, 400, 24) >= 50
+    assert negatives_certified(random.Random(3), 3, 400, lambda rng: swapped_balls(rng, rng.randint(8, 24), 3)) >= 50
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_the_program_agrees_with_check_on_swapped_cubic_balls_at_depths_four_and_five(depth):
+    def draw(rng: random.Random) -> list | None:
+        n, deleted = 2 * rng.randint(5, 15), rng.randint(1, 4)
+        return swapped_balls(rng, n, depth, cubic_minus(rng, n, deleted))
+
+    assert negatives_certified(random.Random(3), depth, 200, draw) >= 15

@@ -161,10 +161,13 @@ def cubic_minus(rng: random.Random, n: int, deleted: int) -> list[tuple[int, int
     return edges
 
 
-def swapped_balls(rng: random.Random, n: int, depth: int = 2) -> list[RootedTree] | None:
-    """The depth-`depth` balls of a G(n, m) graph, two roots having swapped one child each.
+def swapped_balls(
+    rng: random.Random, n: int, depth: int = 2, edges: list[tuple[int, int]] | None = None
+) -> list[RootedTree] | None:
+    """The depth-`depth` balls of a graph on n vertices, two roots having swapped one child each.
 
-    m is drawn from n..2n and capped at n(n - 1)/2.  The two roots agree to
+    The graph has the given `edges`, or else is G(n, m) with m drawn from
+    n..2n and capped at n(n - 1)/2.  The two roots agree to
     depth - 1 (at depth 2: they have equal degrees), and the children swapped
     differ but agree to depth - 2.  So every other edge at either root keeps
     its near side, which holds the swapped child only cut to depth - 2, and
@@ -173,8 +176,9 @@ def swapped_balls(rng: random.Random, n: int, depth: int = 2) -> list[RootedTree
     even, so a collection that fails the check fails only a subsum inequality.
     None when no two roots have such children.  `depth` is at least 2.
     """
-    m = min(rng.randrange(n, 2 * n + 1), n * (n - 1) // 2)
-    balls = neighborhood_collection(SimpleGraph(n, gnm(rng, n, m)), depth)
+    if edges is None:
+        edges = gnm(rng, n, min(rng.randrange(n, 2 * n + 1), n * (n - 1) // 2))
+    balls = neighborhood_collection(SimpleGraph(n, edges), depth)
     forest = Forest()
     kids = [list(forest.intern(ball.children)) for ball in balls]
     cuts = [[forest.truncate(c, depth - 2) for c in row] for row in kids]
