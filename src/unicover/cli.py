@@ -153,17 +153,18 @@ def _write_list(out: IO[str], pad: str, template: str, rows: Iterable[tuple]) ->
 def _emit_verdict(out: IO[str], verdict: Verdict, depth: int, table: TypedDegreeTable | None = None) -> None:
     """The verdict, with `table` if given, as `print(json.dumps(payload, indent=2))` writes it, one item at a time.
 
-    Its schema is fixed and its strings are canonical codes and enum values, which need no escaping.
+    Its schema is fixed and its strings are canonical codes and enum values, which need no escaping.  Failures are
+    read from their records, and each count becomes text once, from numerals up to the plan's largest (not n - 1).
     """
     out.write('{\n  "graphical": %s,\n  "h": %d,\n  "failures": ' % ("true" if verdict.graphical else "false", depth))
-    failures = (f.to_json_dict() for f in verdict.failures)
-    rows = ((f["type"]["r"], f["type"]["s"], f["kind"], "null" if f["k"] is None else f["k"]) for f in failures)
+    rows = ((r, s, kind.value, "null" if k is None else k) for (r, s), kind, k in verdict.failures)
     _write_list(out, "    ", _FAILURE, rows)
     if table is not None:
         out.write(',\n  "table": {\n    "h": %d,\n    "n": %d,\n    "types": ' % (table.depth, table.n))
-        types = table.json_types()
+        top = max([max(c) if type(c) is tuple else c for _, counts in table.plan.values() for c in counts], default=0)
+        numeral, types = [str(c) for c in range(top + 1)].__getitem__, table.json_types()
         # The move puts "    %s" at indent 10, one degree per line; a type occurs somewhere, so it has degrees.
-        rows = ((t["r"], t["s"], t["class"], t["N"], ",\n          ".join(map(str, t["degrees"]))) for t in types)
+        rows = ((t["r"], t["s"], t["class"], t["N"], ",\n          ".join(map(numeral, t["degrees"]))) for t in types)
         _write_list(out, "      ", _TYPE, rows)
         out.write("\n  }")
     out.write("\n}\n")

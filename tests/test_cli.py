@@ -523,6 +523,8 @@ VERDICTS = {
     "directed-eg-violation": "((()())(()()))\n((()())(()()))\n((()()))\n(()()(()))\n((())(())(()))\n((()()))\n",
     "no-trees": "",
     "no-failures": "((()))\n(()(()))\n(()(()))\n((()))\n",
+    # The star K1,12 at depth 1: the centre's count, 12, takes two digits.
+    "two-digit-count": "(" + "()" * 12 + ")\n" + "(())\n" * 12,
 }
 
 
@@ -548,6 +550,7 @@ def test_the_verdicts_cover_every_failure_kind_a_null_k_and_empty_lists():
     assert None in [f["k"] for f in failures] and [] in [v["failures"] for v in verdicts]
     assert {"h": 1, "n": 0, "types": []} in [v["table"] for v in verdicts]
     assert [1] in [t["degrees"] for v in verdicts for t in v["table"]["types"]]
+    assert max(d for v in verdicts for t in v["table"]["types"] for d in t["degrees"]) >= 10
 
 
 def test_check_explain_streams_the_dense_table_under_a_memory_cap(tmp_path):
