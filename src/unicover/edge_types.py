@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import index
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DepthError
 from .trees import CanonCode, Forest, FrozenSlots, RootedTree, code_sort_key
@@ -128,20 +128,24 @@ class TypedDegreeTable(FrozenSlots):
 
     def degree_vector(self, etype: EdgeType) -> tuple[int, ...]:
         """Length-`n` count vector for `etype`; all zeros if the type never occurs."""
-        vec = [0] * self.n
         near, far = etype
         side, entry = 0, self.plan.get(etype)
         if entry is None and near != far:
             side, entry = 1, self.plan.get((far, near))
-        if entry is not None:
-            for v, count in zip(*entry):
-                vec[v] = count if near == far else count[side]
-        return tuple(vec)
+        pairs = zip(*entry) if entry is not None else ()
+        return tuple(self._dense((v, count if near == far else count[side]) for v, count in pairs))
 
     @property
     def degrees(self) -> dict[EdgeType, tuple[int, ...]]:
         """Every occurring type's length-`n` count vector, built afresh on each access."""
-        return {etype: self.degree_vector(etype) for etype in self.supports}
+        return {etype: tuple(self._dense(support)) for etype, support in self.supports.items()}
+
+    def _dense(self, support: Iterable[tuple[int, int]]) -> list[int]:
+        """The length-`n` list of counts, zero but at `support`'s (vertex, count) pairs."""
+        vec = [0] * self.n
+        for v, count in support:
+            vec[v] = count
+        return vec
 
     def json_types(self) -> Iterator[dict]:
         """The entries of `to_json_dict()["types"]`, one at a time."""
@@ -151,7 +155,7 @@ class TypedDegreeTable(FrozenSlots):
                 "s": etype.far,
                 "class": etype.klass.value,
                 "N": sum([c for _, c in support]),
-                "degrees": list(self.degree_vector(etype)),
+                "degrees": self._dense(support),
             }
 
     def to_json_dict(self) -> dict:

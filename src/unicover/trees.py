@@ -70,12 +70,13 @@ class RootedTree(FrozenSlots):
     """Unlabeled rooted tree; the storage order of `children` carries no meaning.
 
     Immutable (see :class:`FrozenSlots`): `children` is stored as a tuple,
-    whatever iterable it is given.  Equality and hashing are
-    structural (order-sensitive); use canonical codes to compare trees up
-    to isomorphism.  Both walk the trees with an explicit stack, once per
-    distinct pair or object, so depth is bounded only by memory; so do
-    `repr`, and `copy`/`pickle`, which go through a flat table of rows that
-    keeps the stored child order and the sharing of subtree objects.
+    whatever iterable it is given.  Equality and hashing are structural
+    (order-sensitive); use canonical codes to compare trees up to
+    isomorphism.  Both read one walk that numbers each distinct shape,
+    with an explicit stack, once per distinct object, so depth is bounded
+    only by memory; so do `repr`, and `copy`/`pickle`, which go through a
+    flat table of rows that keeps the stored child order and the sharing
+    of subtree objects.
     """
 
     __slots__ = ("children",)
@@ -112,23 +113,18 @@ class RootedTree(FrozenSlots):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootedTree):
             return NotImplemented
-        seen: set[tuple[int, int]] = set()
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if len(a.children) != len(b.children):
-                return False
-            seen.add((id(a), id(b)))
-            stack.extend(zip(a.children, b.children))
-        return True
+        return self is other or self._shapes() == other._shapes()
 
     def __hash__(self) -> int:
-        memo: dict[int, int] = {}
-        for node in _bottom_up(self, memo):
-            memo[id(node)] = hash(tuple([memo[id(c)] for c in node.children]))
-        return memo[id(self)]
+        return hash(self._shapes())
+
+    def _shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Each distinct shape, children first, as its children's shape numbers; equal exactly when the trees are."""
+        number: dict[int, int] = {}
+        shapes: dict[tuple[int, ...], int] = {}
+        for node in _bottom_up(self, number):
+            number[id(node)] = shapes.setdefault(tuple([number[id(c)] for c in node.children]), len(shapes))
+        return tuple(shapes)
 
 
 def _bottom_up(tree: RootedTree, done: Container[int]) -> Iterator[RootedTree]:

@@ -6,6 +6,7 @@ import ast
 import copy
 import pickle
 import re
+import shlex
 from importlib import import_module
 from pathlib import Path
 
@@ -25,14 +26,26 @@ from unicover import (
     cross_validate,
     parse_tree,
 )
+from unicover.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "unicover").glob("*.py"))
 
 
-def _library_section() -> str:
+def _section(heading: str) -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _session() -> list[tuple[list[str], str]]:
+    """README's command-line session: each `$` command, split as sh splits it, and the text shown under it."""
+    steps: list[tuple[list[str], list[str]]] = []
+    for line in _section("Command line").split("```sh\n", 1)[1].split("```", 1)[0].splitlines(keepends=True):
+        if line.startswith("$ "):
+            steps.append((shlex.split(line[2:], comments=True), []))
+        else:
+            steps[-1][1].append(line)
+    return [(argv, "".join(shown)) for argv, shown in steps]
 
 
 def _self_calls(tree: ast.Module) -> list[str]:
@@ -91,28 +104,47 @@ def test_guard_sees_direct_and_method_recursion():
 
 
 def test_readme_library_names_every_export():
-    section = _library_section()
+    section = _section("Library")
     spans = re.findall(r"```.*?```|`[^`\n]+`", section, flags=re.S)
     named = set(re.findall(r"[A-Za-z_]\w*", " ".join(spans)))
     assert sorted(set(unicover.__all__) - named) == []
 
 
 def test_readme_library_example_uses_only_exports():
-    used = set(re.findall(r"\buc\.(\w+)", _library_section()))
+    used = set(re.findall(r"\buc\.(\w+)", _section("Library")))
     assert used and used <= set(unicover.__all__)
 
 
+def test_readme_command_line_session_runs_as_shown(tmp_path, monkeypatch, capsysbinary):
+    # What each command writes (stdout, then stderr), and each file that `cat` shows, must be README's bytes.
+    monkeypatch.chdir(tmp_path)
+    steps = _session()
+    assert [argv[0] for argv, _ in steps] == ["printf", "unicover", "cat", "unicover", "unicover", "unicover"]
+    for argv, shown in steps:
+        if argv[0] == "printf":  # printf FORMAT > FILE, where \n is the format's one escape
+            [text, redirect, name] = argv[1:]
+            assert redirect == ">" and "%" not in text
+            Path(name).write_bytes(text.replace("\\n", "\n").encode())
+        elif argv[0] == "cat":
+            [name] = argv[1:]
+            assert Path(name).read_bytes() == shown.encode(), name
+        else:
+            assert main(argv[1:]) == 0, argv
+            out, err = capsysbinary.readouterr()
+            assert out + err == shown.encode(), argv
+
+
 def test_readme_library_example_runs_in_dev_mode(tmp_path):
-    # The path.trees that README's command-line example writes.
-    (tmp_path / "path.trees").write_text("((()))\n(()(()))\n(()(()))\n((()))\n", encoding="utf-8")
-    example = _library_section().split("```python\n", 1)[1].split("```", 1)[0]
+    trees = next(shown for argv, shown in _session() if argv == ["cat", "path.trees"])
+    (tmp_path / "path.trees").write_text(trees, encoding="utf-8")
+    example = _section("Library").split("```python\n", 1)[1].split("```", 1)[0]
     code, _, err = child.run("-X", "dev", "-W", "error::ResourceWarning", "-c", example, cwd=tmp_path, text=True)
     assert (code, err) == (0, "")
 
 
 def test_readme_library_helpers_exist():
     # A helper deleted without its README line fails here.
-    dotted = re.findall(r"\bunicover\.(\w+)\.(\w+)", _library_section())
+    dotted = re.findall(r"\bunicover\.(\w+)\.(\w+)", _section("Library"))
     assert len(dotted) > 5
     assert [f"{m}.{n}" for m, n in dotted if not hasattr(import_module(f"unicover.{m}"), n)] == []
 

@@ -455,20 +455,17 @@ def test_failed_file_write_exits_2(tmp_path, capsys):
         assert err == f"error: cannot write {target}: No such file or directory\n", argv
 
 
-CLI = "import sys; from unicover.cli import main; sys.exit(main())"
-
-
 def cli_process(work, hash_seed, *argv, **popen):
     """The CLI started by `child.launch` (which takes `cap`) in `work` under a fixed PYTHONHASHSEED.
 
     stdout is buffered, as Python sets it up by default.
     """
-    return child.launch("-c", CLI, *argv, cwd=work, env=cli_env(hash_seed), **popen)
+    return child.launch("-c", child.CLI, *argv, cwd=work, env=cli_env(hash_seed), **popen)
 
 
 def run_process(work, hash_seed, *argv, **popen):
     """Run the CLI as its own process, as `cli_process` starts it; its exit code, stdout and stderr."""
-    return child.run("-c", CLI, *argv, cwd=work, env=cli_env(hash_seed), **popen)
+    return child.run("-c", child.CLI, *argv, cwd=work, env=cli_env(hash_seed), **popen)
 
 
 def cli_env(hash_seed):
@@ -541,6 +538,8 @@ def test_check_writes_the_verdict_as_json_dumps_does(tmp_path, capsys, name, exp
     path = write(tmp_path / "t.txt", VERDICTS[name])
     code, out, err = run(capsys, "check", path, *(["--explain"] if explain else []))
     assert (code, out, err) == (0 if json.loads(want)["graphical"] else 1, want, "")
+    if code == 1 and not explain:  # a rejecting realize writes the same verdict
+        assert run(capsys, "realize", path)[:2] == (1, want)
 
 
 def test_the_verdicts_cover_every_failure_kind_a_null_k_and_empty_lists():
@@ -551,6 +550,11 @@ def test_the_verdicts_cover_every_failure_kind_a_null_k_and_empty_lists():
     assert {"h": 1, "n": 0, "types": []} in [v["table"] for v in verdicts]
     assert [1] in [t["degrees"] for v in verdicts for t in v["table"]["types"]]
     assert max(d for v in verdicts for t in v["table"]["types"] for d in t["degrees"]) >= 10
+    # The one odd diagonal sum, whose k is null, and the one inverse pair that fails Gale-Ryser, at k = 2.
+    named = dict(zip(VERDICTS, verdicts))
+    odd = [{"type": {"r": "()", "s": "()"}, "kind": "OddDiagonalSum", "k": None}]
+    subsum = [{"type": {"r": "(())", "s": "(()())"}, "kind": "DirectedEGViolation", "k": 2}]
+    assert (named["odd-diagonal-sum"]["failures"], named["directed-eg-violation"]["failures"]) == (odd, subsum)
 
 
 def test_check_explain_streams_the_dense_table_under_a_memory_cap(tmp_path):

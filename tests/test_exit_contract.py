@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import child
 import unicover
 from treegen import random_graph
 from unicover import cli
@@ -38,9 +39,6 @@ from unicover.cli import _read_lines, main
 from unicover.graphs import MAX_VERTICES
 from unicover.oracle import exists_realization_bruteforce
 from unicover.trees import depth as tree_depth
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
 
 @st.composite
 def graphs(draw) -> unicover.SimpleGraph:
@@ -207,15 +205,6 @@ def test_counts_at_and_past_the_vertex_limit(tmp_path, graph_text, commands):
     assert [exit_code(argv[c]) for c in commands] == [2] * len(commands)
 
 
-def _env(unbuffered: bool) -> dict[str, str]:
-    """This process's environment with `src` first on PYTHONPATH, and stdout unbuffered if asked."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return env
-
-
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "redirected, code, err",
@@ -248,7 +237,7 @@ def test_a_closed_or_full_standard_stream_keeps_the_contract(tmp_path, redirecte
     proc = subprocess.run(
         ["sh", "-c", f'exec "$0" -m unicover.cli {redirected}', sys.executable],
         cwd=tmp_path,
-        env=_env(unbuffered),
+        env=child.environment({"PYTHONUNBUFFERED": "1" if unbuffered else None}),
         stdin=subprocess.DEVNULL,
         capture_output=True,
         text=True,
@@ -259,18 +248,16 @@ def test_a_closed_or_full_standard_stream_keeps_the_contract(tmp_path, redirecte
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", [None, "check"])
-def test_help_that_stdout_takes_is_argparse_text_and_exits_0(monkeypatch, command, unbuffered):
+def test_help_that_stdout_takes_is_argparse_text_and_exits_0(tmp_path, monkeypatch, command, unbuffered):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
     parser = cli.build_parser()
     if command is not None:
         parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
-    argv = [command, "--help"] if command else ["--help"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "unicover.cli", *argv],
-        env=_env(unbuffered),
-        stdin=subprocess.DEVNULL,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, parser.format_help(), "")
+    argv = ["-m", "unicover.cli", *([command] if command else []), "--help"]
+    env, want = {"PYTHONUNBUFFERED": "1" if unbuffered else None}, (0, parser.format_help(), "")
+    assert child.run(*argv, env=env, stdin=subprocess.DEVNULL, text=True, timeout=60) == want
+    # Into a file, as into the pipe above.
+    with (tmp_path / "help.txt").open("w+") as file:
+        code, _, err = child.run(*argv, env=env, stdin=subprocess.DEVNULL, stdout=file, text=True, timeout=60)
+        file.seek(0)
+        assert (code, file.read(), err) == want

@@ -20,7 +20,6 @@ import child
 from unicover.cli import main
 from unicover.edge_types import TypedDegreeTable
 
-CLI = "import sys; from unicover.cli import main; sys.exit(main())\n"
 CORPUS = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
 
 # Makes TypedDegreeTable.json_types fail after its first type, a bug in the middle of `check --explain`.
@@ -43,7 +42,7 @@ def sample() -> list[tuple[int, int]]:
     return sorted({at for ats in runs.values() for at in (ats[0], ats[-1])})
 
 
-def process(work: Path, *argv: str, code: str = CLI) -> tuple[int, bytes, bytes]:
+def process(work: Path, *argv: str, code: str = child.CLI) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr of the CLI run as its own process in `work`, stdout block-buffered."""
     return child.run("-c", code, *argv, cwd=work, env={"PYTHONUNBUFFERED": None})
 
@@ -74,4 +73,4 @@ def test_a_process_that_fails_midway_still_writes_what_it_wrote(tmp_path, capsys
     err = "internal error (please report): RuntimeError: the table broke after one type\n"
     assert partial.err == err
     assert 0 < len(partial.out) < len(whole) and whole.startswith(partial.out)
-    assert process(tmp_path, *argv, code=BREAK + CLI) == (3, partial.out.encode(), err.encode())
+    assert process(tmp_path, *argv, code=BREAK + child.CLI) == (3, partial.out.encode(), err.encode())

@@ -431,6 +431,16 @@ def test_equality_is_structural_and_order_sensitive():
     def same(a, b):  # the recursive definition, fine for these small trees
         return len(a.children) == len(b.children) and all(map(same, a.children, b.children))
 
+    def fresh(t):  # a copy that shares no subtree object
+        return RootedTree(tuple(map(fresh, t.children)))
+
+    # Shared subtree objects, below the root and in part, change nothing; child order below the root does.
+    shared = RootedTree((cherry, cherry, RootedTree((cherry, leaf))))
+    for t in (shared, RootedTree((cherry, RootedTree((leaf, leaf)), RootedTree((cherry, RootedTree()))))):
+        assert t == fresh(shared) and fresh(shared) == t and hash(t) == hash(fresh(shared))
+    assert RootedTree((leaf, RootedTree((leaf, cherry)))) != RootedTree((leaf, RootedTree((cherry, leaf))))
+    assert fresh(shared) != RootedTree((cherry, cherry, RootedTree((leaf, cherry))))
+
     for _ in range(300):
         t = random_tree(rng, 12)
         s = shuffle_tree(t, rng)
